@@ -33,7 +33,7 @@ rad = enumerate_radical_ideals(z6)
 pts = frame_points(rad.lattice)
 print(pts)
 iso = check_spectrum_homeomorphism(z6)
-print("homeomorphic:", iso.verified, "point bijection:", iso.forward)
+print("homeomorphic, point bijection:", iso.forward)
 
 # And the frame of opens of the spectrum is the radical frame again.
 print(opens_frame(spec))

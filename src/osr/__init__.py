@@ -2,6 +2,7 @@
 prime spectra, with every structural theorem machine-checked by exhaustive
 enumeration at desk scale."""
 
+from .analysis import Analysis
 from .builders import (
     BUILDER_SPECS,
     build_boolean_ring,
@@ -48,7 +49,7 @@ from .errors import (
 from .homs import LatticeHom, UniversalityReport, enumerate_quantale_homs
 from .ideals import (
     Ideal,
-    IdealQuantale,
+    IdealLattice,
     canonical_embedding,
     check_product_of_generators,
     check_quantale_universality,
@@ -72,7 +73,6 @@ from .morphisms import (
     enumerate_subadditive,
 )
 from .radicals import (
-    RadicalFrame,
     ReflectionResult,
     SemiprimeReflection,
     check_coherence,

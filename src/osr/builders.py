@@ -17,6 +17,7 @@ from .core import (
     Table,
     bits,
     lattice_from_order,
+    lower_masks,
     subset_key,
     transitive_closure,
     validate,
@@ -112,12 +113,7 @@ def build_dlat_from_poset(
         for j in bits(closed[i]):
             if i != j and closed[j] >> i & 1:
                 raise NotAPartialOrder(f"cycle through points {i} and {j}")
-    lower = [0] * npoints
-    for i in range(npoints):
-        for j in bits(closed[i]):
-            lower[j] |= 1 << i
-
-    downs = _downsets(npoints, lower)
+    downs = _downsets(npoints, lower_masks(closed))
     lab = tuple(_setlab(s) for s in downs)
     idx = {s: i for i, s in enumerate(downs)}
     pairs = tuple(

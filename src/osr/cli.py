@@ -11,20 +11,14 @@ import argparse
 import json
 import sys
 
+from .analysis import Analysis
 from .builders import from_builder_spec
 from .core import FiniteOrderedSemiring, validate
 from .dot import TARGETS, emit_dot
 from .errors import AxiomViolation, OsrError, VerificationFailure
-from .ideals import enumerate_ideals
 from .osrfile import parse_file
-from .radicals import distributive_reflection, enumerate_radical_ideals
 from .report import run_checks
-from .spectrum import (
-    enumerate_maximal,
-    enumerate_primes,
-    frame_points,
-    spectrum_space,
-)
+from .spectrum import frame_points
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
@@ -74,16 +68,16 @@ def _cmd_validate(args) -> int:
 
 def _ideal_listing(args, kind: str) -> int:
     A = _load(args)
-    iq = enumerate_ideals(A)
+    an = Analysis(A)
+    radical = {I.mask for I in an.radicals.ideals}
+    prime = {P.mask for P in an.primes}
+    maximal = {M.mask for M in an.maximal}
     if kind == "ideals":
-        chosen = list(iq.ideals)
+        chosen = list(an.ideals.ideals)
     elif kind == "radicals":
-        chosen = list(enumerate_radical_ideals(A, iq).ideals)
+        chosen = list(an.radicals.ideals)
     else:
-        chosen = enumerate_primes(A, iq)
-    radical = {I.mask for I in enumerate_radical_ideals(A, iq).ideals}
-    prime = {P.mask for P in enumerate_primes(A, iq)}
-    maximal = {M.mask for M in enumerate_maximal(A, iq)}
+        chosen = an.primes
 
     def tags(I):
         return [
@@ -115,7 +109,7 @@ def _ideal_listing(args, kind: str) -> int:
 
 def _cmd_spec(args) -> int:
     A = _load(args)
-    space = spectrum_space(A)
+    space = Analysis(A).spectrum
     opens = sorted(space.opens)
     payload = {
         "name": A.name,
@@ -134,8 +128,7 @@ def _cmd_spec(args) -> int:
 
 def _cmd_pt(args) -> int:
     A = _load(args)
-    rad = enumerate_radical_ideals(A)
-    space = frame_points(rad.lattice)
+    space = frame_points(Analysis(A).radicals.lattice)
     opens = sorted(space.opens)
     payload = {
         "name": A.name,
@@ -153,7 +146,7 @@ def _cmd_pt(args) -> int:
 
 def _cmd_reflect(args) -> int:
     A = _load(args)
-    refl = distributive_reflection(A)
+    refl = Analysis(A).reflection
     payload = {
         "name": A.name,
         "lattice_size": refl.lattice.n,

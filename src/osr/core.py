@@ -45,6 +45,36 @@ def subset_key(mask: int) -> tuple[int, int]:
     return (popcount(mask), mask)
 
 
+def lower_masks(leq: Sequence[int]) -> tuple[int, ...]:
+    """Transpose of an order given as bitmask rows: entry ``j`` has bit ``i``
+    set iff ``i <= j``."""
+    out = [0] * len(leq)
+    for i, row in enumerate(leq):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
+def inclusion_order(masks: Sequence[int]) -> tuple[int, ...]:
+    """Bitmask order rows of a family of subsets under inclusion."""
+    return tuple(
+        sum(1 << j for j, big in enumerate(masks) if small & ~big == 0)
+        for small in masks
+    )
+
+
+def cover_pairs(leq: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """All pairs ``(i, j)`` with ``j`` covering ``i`` in a partial order given
+    as bitmask rows, ordered by ``i`` and then ``j``."""
+    lower = lower_masks(leq)
+    out = []
+    for i, row in enumerate(leq):
+        for j in bits(row & ~(1 << i)):
+            if not row & lower[j] & ~(1 << i) & ~(1 << j):
+                out.append((i, j))
+    return tuple(out)
+
+
 def transitive_closure(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Reflexive-transitive closure of a relation given as bitmask rows.
 
@@ -109,12 +139,7 @@ class FiniteOrderedSemiring:
     @cached_property
     def lower_masks(self) -> tuple[int, ...]:
         """``lower_masks[j]`` = bitmask of ``{i : i <= j}``."""
-        out = [0] * self.n
-        for i in range(self.n):
-            row = self.leq[i]
-            for j in bits(row):
-                out[j] |= 1 << i
-        return tuple(out)
+        return lower_masks(self.leq)
 
     @property
     def is_discrete(self) -> bool:
@@ -301,9 +326,9 @@ class FiniteLattice:
     """A finite lattice, optionally carrying a quantale multiplication.
 
     ``mul``/``unit`` are present for quantales; ``is_integral_quantale``
-    holds when the unit is the top element and ``is_frame`` when meet
-    distributes over binary join (at finite scale frames are exactly
-    distributive lattices, so ``is_frame == is_distributive``).
+    holds when the unit is the top element.  At finite scale frames are
+    exactly the distributive lattices, so ``is_distributive`` also says
+    whether the lattice is a frame.
     """
 
     name: str
@@ -317,7 +342,6 @@ class FiniteLattice:
     unit: Optional[int]
     is_distributive: bool
     is_integral_quantale: bool
-    is_frame: bool
 
     @property
     def n(self) -> int:
@@ -341,25 +365,11 @@ class FiniteLattice:
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All pairs ``(i, j)`` with ``j`` covering ``i``."""
-        out = []
-        for i in range(self.n):
-            above = self.leq[i] & ~(1 << i)
-            for j in bits(above):
-                between = self.leq[i] & self._lower(j) & ~(1 << i) & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        return tuple(out)
-
-    def _lower(self, j: int) -> int:
-        return self.lower_masks[j]
+        return cover_pairs(self.leq)
 
     @cached_property
     def lower_masks(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for i in range(self.n):
-            for j in bits(self.leq[i]):
-                out[j] |= 1 << i
-        return tuple(out)
+        return lower_masks(self.leq)
 
     @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
@@ -390,8 +400,8 @@ class FiniteLattice:
         return tuple(out)
 
     def __repr__(self) -> str:
-        kind = "frame" if self.is_frame else "lattice"
-        if self.mul is not None and not self.is_frame:
+        kind = "frame" if self.is_distributive else "lattice"
+        if self.mul is not None and not self.is_distributive:
             kind = "quantale"
         return f"FiniteLattice({self.name!r}, n={self.n}, {kind})"
 
@@ -422,10 +432,7 @@ def lattice_from_order(
                     f"order not antisymmetric: {labels[i]} and {labels[j]}"
                 )
 
-    lower = [0] * n
-    for i in range(n):
-        for j in bits(leq[i]):
-            lower[j] |= 1 << i
+    lower = lower_masks(leq)
 
     def least(candidates: int, what: str) -> int:
         for u in bits(candidates):
@@ -493,5 +500,4 @@ def lattice_from_order(
         unit=unit,
         is_distributive=distributive,
         is_integral_quantale=mul is not None and unit == top,
-        is_frame=distributive,
     )

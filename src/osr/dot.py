@@ -8,11 +8,9 @@ for prime ideals is containment.
 
 from __future__ import annotations
 
-from .core import FiniteOrderedSemiring
+from .analysis import Source, analysis
+from .core import cover_pairs, inclusion_order
 from .errors import LabelError
-from .ideals import enumerate_ideals
-from .radicals import enumerate_radical_ideals
-from .spectrum import enumerate_primes
 
 TARGETS = ("idl", "rad", "spec")
 
@@ -25,35 +23,17 @@ def _digraph(kind: str, labels, covers) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cover_pairs(masks) -> list[tuple[int, int]]:
-    out = []
-    for i, small in enumerate(masks):
-        for j, big in enumerate(masks):
-            if i == j or small & ~big:
-                continue
-            if not any(
-                k not in (i, j) and small & ~m == 0 and m & ~big == 0
-                for k, m in enumerate(masks)
-            ):
-                out.append((i, j))
-    return out
-
-
-def emit_dot(target: str, A: FiniteOrderedSemiring) -> str:
+def emit_dot(target: str, A: Source) -> str:
     """Render the requested structure of ``A`` as a DOT digraph."""
-    if target == "idl":
-        iq = enumerate_ideals(A)
-        return _digraph("ideals", [I.label for I in iq.ideals], iq.lattice.covers)
-    if target == "rad":
-        rad = enumerate_radical_ideals(A)
-        return _digraph(
-            "radicals", [I.label for I in rad.ideals], rad.lattice.covers
-        )
+    an = analysis(A)
+    if target in ("idl", "rad"):
+        L = an.ideals if target == "idl" else an.radicals
+        return _digraph(L.kind, [I.label for I in L.ideals], L.lattice.covers)
     if target == "spec":
-        primes = enumerate_primes(A)
+        primes = an.primes
         return _digraph(
             "spectrum",
             [P.label for P in primes],
-            _cover_pairs([P.mask for P in primes]),
+            cover_pairs(inclusion_order([P.mask for P in primes])),
         )
     raise LabelError(f"dot target must be one of {TARGETS}, not {target!r}")

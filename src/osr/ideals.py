@@ -5,7 +5,7 @@ addition, and absorbs multiplication.  Generated ideals are computed by
 fixed-point closure; the explicit bounded-sum formula is kept alongside as
 an independent oracle and the two are compared by the verification suite.
 
-Ideal identity is by member bitmask; within one IdealQuantale the ideals
+Ideal identity is by member bitmask; within one IdealLattice the ideals
 are interned in canonical order (by size, then bitmask) and all tables are
 over those dense indices.
 """
@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Sequence, Union
 
+from .analysis import Source, analysis
 from .builders import build_from_quantale
 from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
+    Table,
     bits,
+    inclusion_order,
     lattice_from_order,
     subset_key,
 )
@@ -62,9 +65,6 @@ class Ideal:
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> x & 1)
-
-    def is_subset(self, other: "Ideal") -> bool:
-        return self.mask & ~other.mask == 0
 
     def __repr__(self) -> str:
         return f"Ideal({self.owner.name}, {self.label})"
@@ -193,15 +193,17 @@ def enumerate_ideals_bruteforce(A: FiniteOrderedSemiring) -> list[int]:
 
 
 @dataclass(frozen=True)
-class IdealQuantale:
-    """The complete list of ideals with join, meet, and product tables.
+class IdealLattice:
+    """A family of ideals ordered by containment, with its lattice tables.
 
-    ``lattice`` holds the tables over ideal indices; its multiplication is
-    the ideal product and its unit is the whole carrier, which is also the
-    top element (integrality).
+    ``kind`` names the family: ``"ideals"`` is every ideal, the ideal
+    quantale, multiplied by the ideal product; ``"radicals"`` is the radical
+    ideals, the radical frame, multiplied by meet.  In both the unit is the
+    whole carrier, which is also the top element (integrality).
     """
 
     owner: FiniteOrderedSemiring
+    kind: str
     ideals: tuple[Ideal, ...]
     lattice: FiniteLattice
 
@@ -214,7 +216,7 @@ class IdealQuantale:
             return self._by_mask[mask]
         except KeyError:
             raise OwnerMismatch(
-                f"{self.owner.set_label(mask)} is not an ideal of {self.owner.name}"
+                f"{self.owner.set_label(mask)} is not in {self.lattice.name}"
             ) from None
 
     @property
@@ -231,13 +233,43 @@ class IdealQuantale:
         return len(self.ideals)
 
     def __repr__(self) -> str:
-        return f"IdealQuantale({self.owner.name}, {len(self.ideals)} ideals)"
+        return f"IdealLattice({self.lattice.name}, {len(self.ideals)} ideals)"
+
+
+def ideal_lattice(
+    A: FiniteOrderedSemiring,
+    kind: str,
+    masks: Sequence[int],
+    mul: Table,
+    close: Callable[[int], int],
+) -> IdealLattice:
+    """The ideals ``masks`` of A (canonical order, whole carrier last) under
+    containment, with ``mul`` as multiplication and the whole carrier as
+    unit.  Meets are verified to be intersections and joins to be ``close``
+    of unions."""
+    k = len(masks)
+    name = f"{kind}({A.name})"
+    lattice = lattice_from_order(
+        labels=tuple(A.set_label(m) for m in masks),
+        leq=inclusion_order(masks),
+        mul=mul,
+        unit=k - 1,
+        name=name,
+    )
+    for i in range(k):
+        for j in range(k):
+            pair = f"{A.set_label(masks[i])} and {A.set_label(masks[j])} in {name}"
+            if masks[lattice.join[i][j]] != close(masks[i] | masks[j]):
+                raise InternalMismatch(f"join of {pair} is not the closure of the union")
+            if masks[lattice.meet[i][j]] != masks[i] & masks[j]:
+                raise InternalMismatch(f"meet of {pair} is not the intersection")
+    return IdealLattice(A, kind, tuple(Ideal(A, m) for m in masks), lattice)
 
 
 BRUTEFORCE_CROSSCHECK_LIMIT = 12  # 2^n subset filter re-run below this size
 
 
-def enumerate_ideals(A: FiniteOrderedSemiring) -> IdealQuantale:
+def enumerate_ideals(A: FiniteOrderedSemiring) -> IdealLattice:
     """All ideals of A with fully verified quantale structure.
 
     Ideals are found by closing generator sets (every ideal is reached by
@@ -272,56 +304,26 @@ def enumerate_ideals(A: FiniteOrderedSemiring) -> IdealQuantale:
             )
 
     index = {m: i for i, m in enumerate(masks)}
-    k = len(masks)
-    ideals = tuple(Ideal(A, m) for m in masks)
-
-    product = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            row.append(index[ideal_product(A, ideals[i], ideals[j]).mask])
-        product.append(tuple(row))
-
-    leq = tuple(
-        sum(1 << j for j in range(k) if masks[i] & ~masks[j] == 0) for i in range(k)
+    ideals = [Ideal(A, m) for m in masks]
+    product = tuple(
+        tuple(index[ideal_product(A, I, J).mask] for J in ideals) for I in ideals
     )
-    lattice = lattice_from_order(
-        labels=tuple(A.set_label(m) for m in masks),
-        leq=leq,
-        mul=tuple(product),
-        unit=index[A.full_mask],
-        name=f"ideals({A.name})",
-    )
-
-    # joins must be generated unions, meets must be intersections
-    for i in range(k):
-        for j in range(k):
-            if masks[lattice.join[i][j]] != _close(A, masks[i] | masks[j]):
-                raise InternalMismatch(
-                    f"join of {ideals[i].label} and {ideals[j].label} in {A.name} "
-                    f"is not the ideal generated by the union"
-                )
-            if masks[lattice.meet[i][j]] != masks[i] & masks[j]:
-                raise InternalMismatch(
-                    f"meet of {ideals[i].label} and {ideals[j].label} in {A.name} "
-                    f"is not the intersection"
-                )
-    if not lattice.is_integral_quantale:
+    iq = ideal_lattice(A, "ideals", masks, product, lambda m: _close(A, m))
+    if not iq.lattice.is_integral_quantale:
         raise InternalMismatch(f"ideal quantale of {A.name} is not integral")
-    return IdealQuantale(owner=A, ideals=ideals, lattice=lattice)
+    return iq
 
 
-def canonical_embedding(
-    A: FiniteOrderedSemiring, iq: Optional[IdealQuantale] = None
-) -> MorphismTable:
+def canonical_embedding(A: Source, *built: IdealLattice) -> MorphismTable:
     """The map sending each element to its principal ideal, as a morphism
     into the semiring induced by the ideal quantale.
 
     Asserts the subadditive-morphism flag (monotonicity, zero below bottom,
     unit to top, subadditivity, multiplicativity all hold by construction).
+    ``built`` are structures of A made already (see ``analysis``).
     """
-    iq = iq or enumerate_ideals(A)
-    values = tuple(iq.index_of(principal_ideal(A, x).mask) for x in range(A.n))
+    an = analysis(A, *built)
+    A, iq, values = an.owner, an.ideals, an.principal
     table = classify(A, build_from_quantale(iq.lattice), values)
     if not table.is_subadditive_morphism:
         raise InternalMismatch(
@@ -346,16 +348,15 @@ def _same_tables(A: FiniteOrderedSemiring, B: FiniteOrderedSemiring) -> bool:
 
 
 def extend_to_quantale_hom(
-    f: MorphismTable,
-    Q: FiniteLattice,
-    iq: Optional[IdealQuantale] = None,
+    f: MorphismTable, Q: FiniteLattice, iq: IdealLattice
 ) -> LatticeHom:
     """The join extension of a subadditive morphism into an integral quantale.
 
-    Maps each ideal to the join of the images of its members; this is the
-    unique quantale homomorphism whose composite with the principal-ideal
-    map recovers ``f``.  Preservation of joins, unit, and products and the
-    triangle identity are all verified exhaustively.
+    Maps each ideal of ``iq``, the ideal quantale of ``f``'s source, to the
+    join of the images of its members; this is the unique quantale
+    homomorphism whose composite with the principal-ideal map recovers
+    ``f``.  Preservation of joins, unit, and products and the triangle
+    identity are all verified exhaustively.
     """
     if not f.is_subadditive_morphism:
         raise NotSubadditive(
@@ -368,7 +369,6 @@ def extend_to_quantale_hom(
             f"morphism target {f.target.name} is not the semiring induced by {Q.name}"
         )
     A = f.source
-    iq = iq or enumerate_ideals(A)
     L = iq.lattice
     values = tuple(
         Q.join_of(f.values[x] for x in I.members) for I in iq.ideals
@@ -392,9 +392,9 @@ def extend_to_quantale_hom(
 
 
 def check_quantale_universality(
-    A: FiniteOrderedSemiring,
+    A: Source,
     Q: FiniteLattice,
-    iq: Optional[IdealQuantale] = None,
+    *built: IdealLattice,
     strict_zero: bool = False,
 ) -> UniversalityReport:
     """Verify that composition with the principal-ideal map is a bijection
@@ -402,39 +402,36 @@ def check_quantale_universality(
     morphisms out of A."""
     if not Q.is_integral_quantale:
         raise NotIntegral(f"{Q.name} is not an integral quantale")
-    iq = iq or enumerate_ideals(A)
-    universal = tuple(iq.index_of(principal_ideal(A, x).mask) for x in range(A.n))
+    an = analysis(A, *built)
     return check_universal_property(
-        A,
-        source=iq.lattice,
-        universal_values=universal,
-        member_masks=tuple(I.mask for I in iq.ideals),
+        an.owner,
+        source=an.ideals.lattice,
+        universal_values=an.principal,
+        member_masks=tuple(I.mask for I in an.ideals.ideals),
         target=Q,
         target_semiring=build_from_quantale(Q),
         strict_zero=strict_zero,
     )
 
 
-def induced_quantale_hom(
-    f: MorphismTable,
-    source_iq: Optional[IdealQuantale] = None,
-    target_iq: Optional[IdealQuantale] = None,
-) -> LatticeHom:
+def induced_quantale_hom(f: MorphismTable, *built: IdealLattice) -> LatticeHom:
     """The action of a subadditive morphism on ideal quantales.
 
     Sends each ideal to the ideal generated by its image.  Computed as the
     join extension of the composite with the target's principal-ideal map,
-    and cross-checked against direct image generation.
+    and cross-checked against direct image generation.  ``built`` are ideal
+    quantales of the source or the target made already.
     """
     if not f.is_subadditive_morphism:
         raise NotSubadditive(
             f"{f.source.name} -> {f.target.name} lacks the subadditive-morphism flag"
         )
     A, B = f.source, f.target
-    source_iq = source_iq or enumerate_ideals(A)
-    target_iq = target_iq or enumerate_ideals(B)
+    source = analysis(A, *(L for L in built if L.owner == A))
+    target = analysis(B, *(L for L in built if L.owner == B))
+    source_iq, target_iq = source.ideals, target.ideals
     hom = extend_to_quantale_hom(
-        compose(f, canonical_embedding(B, target_iq)), target_iq.lattice, source_iq
+        compose(f, canonical_embedding(target)), target_iq.lattice, source_iq
     )
     for i, I in enumerate(source_iq.ideals):
         image = generated_ideal(B, {f.values[x] for x in I.members})

@@ -14,8 +14,8 @@ equivalence exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
+from .analysis import Source, analysis
 from .builders import build_from_quantale
 from .core import (
     FiniteLattice,
@@ -34,11 +34,11 @@ from .errors import (
 from .homs import UniversalityReport, check_universal_property
 from .ideals import (
     Ideal,
-    IdealQuantale,
+    IdealLattice,
     _close,
     as_mask,
     enumerate_ideals,
-    principal_ideal,
+    ideal_lattice,
 )
 
 
@@ -86,89 +86,35 @@ def radical_closure(A: FiniteOrderedSemiring, I: Ideal) -> Ideal:
             return Ideal(A, mask)
 
 
-@dataclass(frozen=True)
-class RadicalFrame:
-    """All radical ideals with their frame structure.
-
-    ``lattice`` is ordered by containment with meet = intersection and
-    join = radical closure of the ideal join; its multiplication is the
-    meet and its unit the top, so it doubles as an integral quantale.
-    """
-
-    owner: FiniteOrderedSemiring
-    ideals: tuple[Ideal, ...]
-    lattice: FiniteLattice
-
-    def index_of(self, mask: int) -> int:
-        for i, I in enumerate(self.ideals):
-            if I.mask == mask:
-                return i
-        raise OwnerMismatch(
-            f"{self.owner.set_label(mask)} is not a radical ideal of {self.owner.name}"
-        )
-
-    def __len__(self) -> int:
-        return len(self.ideals)
-
-    def __repr__(self) -> str:
-        return f"RadicalFrame({self.owner.name}, {len(self.ideals)} radical ideals)"
-
-
-def enumerate_radical_ideals(
-    A: FiniteOrderedSemiring, iq: Optional[IdealQuantale] = None
-) -> RadicalFrame:
+def enumerate_radical_ideals(A: Source, *built: IdealLattice) -> IdealLattice:
     """Filter the ideal quantale down to its radical ideals and verify the
-    frame laws exhaustively."""
-    iq = iq or enumerate_ideals(A)
-    kept = [i for i, I in enumerate(iq.ideals) if is_radical(A, I.mask)]
-    ideals = tuple(iq.ideals[i] for i in kept)
-    k = len(ideals)
-    leq = tuple(
-        sum(1 << j for j in range(k) if ideals[i].is_subset(ideals[j]))
-        for i in range(k)
+    frame laws exhaustively.  ``built`` are structures of A made already
+    (see ``analysis``)."""
+    an = analysis(A, *built)
+    A, iq = an.owner, an.ideals
+    masks = [I.mask for I in iq.ideals if is_radical(A, I.mask)]
+    index = {m: i for i, m in enumerate(masks)}
+    try:
+        meet = tuple(tuple(index[s & t] for t in masks) for s in masks)
+    except KeyError:
+        raise InternalMismatch(
+            f"radical ideals of {A.name} are not closed under intersection"
+        ) from None
+    rad = ideal_lattice(
+        A,
+        "radicals",
+        masks,
+        meet,
+        lambda m: radical_closure(A, Ideal(A, _close(A, m))).mask,
     )
-    meet = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            inter = ideals[i].mask & ideals[j].mask
-            try:
-                row.append(next(t for t in range(k) if ideals[t].mask == inter))
-            except StopIteration:
-                raise InternalMismatch(
-                    f"intersection of radical ideals {ideals[i].label} and "
-                    f"{ideals[j].label} of {A.name} is not radical"
-                ) from None
-        meet.append(tuple(row))
-    lattice = lattice_from_order(
-        labels=tuple(I.label for I in ideals),
-        leq=leq,
-        mul=tuple(meet),
-        unit=k - 1,
-        name=f"radicals({A.name})",
-    )
-    if not lattice.is_frame:
+    if not rad.lattice.is_distributive:
         raise InternalMismatch(f"radical ideals of {A.name} do not form a frame")
-    for i in range(k):
-        for j in range(k):
-            if lattice.meet[i][j] != meet[i][j]:
-                raise InternalMismatch(
-                    f"meet of radical ideals of {A.name} is not the intersection"
-                )
-            joined = radical_closure(
-                A, Ideal(A, _close(A, ideals[i].mask | ideals[j].mask))
-            )
-            if ideals[lattice.join[i][j]].mask != joined.mask:
-                raise InternalMismatch(
-                    f"join of radical ideals of {A.name} is not the radical "
-                    f"closure of the ideal join"
-                )
     bottom = radical_closure(A, iq.ideals[iq.bottom])
-    if ideals[lattice.bottom].mask != bottom.mask:
+    if masks[rad.bottom] != bottom.mask:
         raise InternalMismatch(
             f"least radical ideal of {A.name} is not the radical of the zero ideal"
         )
-    return RadicalFrame(owner=A, ideals=ideals, lattice=lattice)
+    return rad
 
 
 @dataclass(frozen=True)
@@ -235,7 +181,7 @@ def semiprime_elements(Q: FiniteLattice) -> SemiprimeReflection:
         unit=k - 1,
         name=f"semiprimes({Q.name})",
     )
-    if not frame.is_frame:
+    if not frame.is_distributive:
         raise InternalMismatch(f"semiprimes of {Q.name} do not form a frame")
     for i in range(k):
         for j in range(k):
@@ -259,10 +205,11 @@ class RadicalSemiprimeReport:
 
 
 def check_radical_equals_semiprime(
-    A: FiniteOrderedSemiring, iq: Optional[IdealQuantale] = None
+    A: Source, *built: IdealLattice
 ) -> RadicalSemiprimeReport:
     """An ideal is radical exactly when it is semiprime in the ideal quantale."""
-    iq = iq or enumerate_ideals(A)
+    an = analysis(A, *built)
+    A, iq = an.owner, an.ideals
     semi = set(semiprime_elements(iq.lattice).members)
     for i, I in enumerate(iq.ideals):
         if is_radical(A, I.mask) != (i in semi):
@@ -275,26 +222,22 @@ def check_radical_equals_semiprime(
 
 
 def check_frame_universality(
-    A: FiniteOrderedSemiring,
+    A: Source,
     F: FiniteLattice,
-    rad: Optional[RadicalFrame] = None,
+    *built: IdealLattice,
     strict_zero: bool = False,
 ) -> UniversalityReport:
     """Verify that composition with the radical principal-ideal map is a
     bijection from frame homomorphisms out of the radical frame onto
     subadditive morphisms into the frame's semiring."""
-    if not F.is_frame or not F.is_integral_quantale or F.mul != F.meet:
+    if not F.is_distributive or not F.is_integral_quantale or F.mul != F.meet:
         raise NotIntegral(f"{F.name} is not a frame with meet as multiplication")
-    rad = rad or enumerate_radical_ideals(A)
-    universal = tuple(
-        rad.index_of(radical_closure(A, principal_ideal(A, x)).mask)
-        for x in range(A.n)
-    )
+    an = analysis(A, *built)
     return check_universal_property(
-        A,
-        source=rad.lattice,
-        universal_values=universal,
-        member_masks=tuple(I.mask for I in rad.ideals),
+        an.owner,
+        source=an.radicals.lattice,
+        universal_values=an.radical_principal,
+        member_masks=tuple(I.mask for I in an.radicals.ideals),
         target=F,
         target_semiring=build_from_quantale(F),
         strict_zero=strict_zero,
@@ -308,14 +251,12 @@ class ReflectionResult:
     Realized as the radical frame: at finite scale every ideal of the
     finite reflection lattice is a principal downset, so the lattice
     presented by the carrier generators collapses onto the radical ideals.
-    ``universal_map`` sends each element to its radical principal ideal;
-    ``radical_iso`` is the witness bijection onto the radical frame.
+    ``universal_map`` sends each element to its radical principal ideal.
     """
 
     owner: FiniteOrderedSemiring
     lattice: FiniteLattice
     universal_map: tuple[int, ...]
-    radical_iso: tuple[int, ...]
     targets_checked: int
 
 
@@ -333,24 +274,18 @@ def small_distributive_lattices() -> list[FiniteLattice]:
     ]
 
 
-def distributive_reflection(
-    A: FiniteOrderedSemiring,
-    rad: Optional[RadicalFrame] = None,
-    targets: Optional[Sequence[FiniteLattice]] = None,
-) -> ReflectionResult:
+def distributive_reflection(A: Source) -> ReflectionResult:
     """The universal distributive lattice receiving A, with its validation.
 
     Checks the five presentation relations on the generator images, that
     the images generate the lattice, distributivity, and -- against every
-    target lattice -- that composition with the universal map is a
-    bijection from lattice homomorphisms onto subadditive morphisms.
+    lattice of ``small_distributive_lattices`` -- that composition with the
+    universal map is a bijection from lattice homomorphisms onto subadditive
+    morphisms.
     """
-    rad = rad or enumerate_radical_ideals(A)
+    an = analysis(A)
+    A, rad, gen = an.owner, an.radicals, an.radical_principal
     lattice = rad.lattice
-    gen = tuple(
-        rad.index_of(radical_closure(A, principal_ideal(A, x)).mask)
-        for x in range(A.n)
-    )
 
     for x in range(A.n):
         for y in range(A.n):
@@ -390,7 +325,7 @@ def distributive_reflection(
 
     member_masks = tuple(I.mask for I in rad.ideals)
     checked = 0
-    for D in targets if targets is not None else small_distributive_lattices():
+    for D in small_distributive_lattices():
         try:
             check_universal_property(
                 A,
@@ -408,7 +343,6 @@ def distributive_reflection(
         owner=A,
         lattice=lattice,
         universal_map=gen,
-        radical_iso=tuple(range(lattice.n)),
         targets_checked=checked,
     )
 
@@ -422,10 +356,7 @@ class CoherenceReport:
     reflection_ideal_count: int
 
 
-def check_coherence(
-    A: FiniteOrderedSemiring,
-    reflection: Optional[ReflectionResult] = None,
-) -> CoherenceReport:
+def check_coherence(A: Source) -> CoherenceReport:
     """Verify the explicit frame isomorphism between the radical frame and
     the ideal quantale of the distributive reflection.
 
@@ -436,12 +367,9 @@ def check_coherence(
     coherence: every finite frame is the ideal frame of a finite
     distributive lattice.
     """
-    reflection = reflection or distributive_reflection(A)
-    L = reflection.lattice
-    D = build_from_quantale(L)
-    from .ideals import enumerate_ideals as _enum
-
-    iq = _enum(D)
+    an = analysis(A)
+    A, L = an.owner, an.reflection.lattice
+    iq = enumerate_ideals(build_from_quantale(L))
     if len(iq.ideals) != L.n:
         raise IsoFailure(
             f"{A.name}: reflection has {L.n} elements but {len(iq.ideals)} ideals"

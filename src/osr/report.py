@@ -1,11 +1,15 @@
 """Machine-readable verification reports.
 
 ``run_checks`` runs every structural theorem against one instance and
-produces a fixed-order verdict list; any verification failure is caught
-into a failed verdict with its witness text instead of aborting the rest.
-JSON output is byte-stable for identical inputs: sampled checks use a
-fixed seed and the timings object is emptied in machine output (wall-clock
-values appear only in the human rendering).
+produces a fixed-order verdict list.  The structures come from one
+``Analysis``, so each is built once.  Any verification failure -- in a
+theorem check or while building a structure -- is caught into a failed
+verdict with its witness text instead of aborting the rest: every verdict
+that needs a structure that failed to build fails with that witness, and
+the counts of such a structure are ``null``.  JSON output is byte-stable
+for identical inputs: sampled checks use a fixed seed and the timings
+object is emptied in machine output (wall-clock values appear only in the
+human rendering).
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .analysis import Analysis
 from .builders import chain_frame, diamond_frame, build_zmod
 from .core import FiniteOrderedSemiring
-from .errors import VerificationFailure
+from .errors import InternalMismatch, NotSober, VerificationFailure
 from .ideals import (
     check_product_of_generators,
     check_quantale_universality,
@@ -30,8 +35,6 @@ from .radicals import (
     check_coherence,
     check_frame_universality,
     check_radical_equals_semiprime,
-    distributive_reflection,
-    enumerate_radical_ideals,
 )
 from .spectrum import (
     check_degeneracy_equivalence,
@@ -40,9 +43,6 @@ from .spectrum import (
     check_radical_opens_iso,
     check_sober,
     check_spectrum_homeomorphism,
-    enumerate_maximal,
-    enumerate_primes,
-    spectrum_space,
 )
 
 SAMPLE_SEED = 0x05EED  # sampled checks must be reproducible run to run
@@ -145,32 +145,39 @@ def _subset_samples(A: FiniteOrderedSemiring, count: int, how_many_sets: int):
     ]
 
 
+def _size(an: Analysis, structure: str) -> Optional[int]:
+    """How many items a structure of ``an`` has; None if it failed to build."""
+    try:
+        return len(getattr(an, structure))
+    except VerificationFailure:
+        return None
+
+
 def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
     """Run the full fixed verdict suite against one instance."""
+    an = Analysis(A)
     timings: dict = {}
-
-    t0 = time.perf_counter()
-    iq = enumerate_ideals(A)
-    timings["ideals"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    rad = enumerate_radical_ideals(A, iq)
-    timings["radicals"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    primes = enumerate_primes(A, iq)
-    maximal = enumerate_maximal(A, iq)
-    space = spectrum_space(A, iq)
-    timings["spectrum"] = time.perf_counter() - t0
+    for phase, structures in (
+        ("ideals", ("ideals",)),
+        ("radicals", ("radicals",)),
+        ("spectrum", ("primes", "maximal", "spectrum")),
+    ):
+        t0 = time.perf_counter()
+        for structure in structures:
+            try:
+                getattr(an, structure)
+            except VerificationFailure:
+                pass  # recorded in the analysis; the verdicts that need it fail
+        timings[phase] = time.perf_counter() - t0
 
     report = CheckReport(
         name=A.name,
         counts={
             "elements": A.n,
-            "ideals": len(iq.ideals),
-            "radical_ideals": len(rad.ideals),
-            "primes": len(primes),
-            "maximal_ideals": len(maximal),
+            "ideals": _size(an, "ideals"),
+            "radical_ideals": _size(an, "radicals"),
+            "primes": _size(an, "primes"),
+            "maximal_ideals": _size(an, "maximal"),
         },
         timings=timings,
     )
@@ -185,8 +192,6 @@ def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
             )
 
     def oracle_equivalence() -> None:
-        from .errors import InternalMismatch
-
         for (mask,) in _subset_samples(A, SAMPLES, 1):
             if generated_ideal(A, mask).mask != generated_ideal_by_sums(A, mask):
                 raise InternalMismatch(
@@ -195,8 +200,6 @@ def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
                 )
 
     def product_of_generators() -> None:
-        from .errors import InternalMismatch
-
         for s, t in _subset_samples(A, SAMPLES, 2):
             if not check_product_of_generators(A, s, t):
                 raise InternalMismatch(
@@ -205,52 +208,35 @@ def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
                 )
 
     def sobriety() -> None:
-        from .errors import NotSober
-
-        result = check_sober(space)
+        result = check_sober(an.spectrum)
         if not result.sober:
             raise NotSober(f"{A.name}: {result.witness}")
 
-    reflection_cache: list = []
-
-    def reflection():
-        # the reflection is the costly step; share it between the coherence
-        # and presentation verdicts, re-raising a cached failure
-        if not reflection_cache:
-            try:
-                reflection_cache.append(("ok", distributive_reflection(A, rad)))
-            except VerificationFailure as exc:
-                reflection_cache.append(("err", exc))
-        kind, value = reflection_cache[0]
-        if kind == "err":
-            raise value
-        return value
-
     t0 = time.perf_counter()
-    # the ideal-quantale laws are verified inside enumerate_ideals; re-running
-    # the constructor under the verdict records any failure as a witness
-    verdict("idl-quantale-axioms", lambda: enumerate_ideals(A))
+    # the ideal-quantale laws are verified inside enumerate_ideals, so the
+    # verdict is whether the ideal quantale was built
+    verdict("idl-quantale-axioms", lambda: an.ideals)
     verdict(
         "idl-universality",
-        lambda: [check_quantale_universality(A, Q, iq) for Q in quantale_targets()],
+        lambda: [check_quantale_universality(an, Q) for Q in quantale_targets()],
     )
     verdict("generated-ideal-oracle", oracle_equivalence)
     verdict("product-of-generators", product_of_generators)
-    verdict("radical-semiprime", lambda: check_radical_equals_semiprime(A, iq))
+    verdict("radical-semiprime", lambda: check_radical_equals_semiprime(an))
     verdict(
         "rad-universality",
-        lambda: [check_frame_universality(A, F, rad) for F in frame_targets()],
+        lambda: [check_frame_universality(an, F) for F in frame_targets()],
     )
-    verdict("coherence-iso", lambda: check_coherence(A, reflection()))
-    verdict("dlat-presentation", reflection)
-    verdict("maximal-implies-prime", lambda: check_maximal_implies_prime(A, iq))
-    verdict("degeneracy-equivalence", lambda: check_degeneracy_equivalence(A, iq))
+    verdict("coherence-iso", lambda: check_coherence(an))
+    verdict("dlat-presentation", lambda: an.reflection)
+    verdict("maximal-implies-prime", lambda: check_maximal_implies_prime(an))
+    verdict("degeneracy-equivalence", lambda: check_degeneracy_equivalence(an))
     verdict(
         "prime-element-correspondence",
-        lambda: check_prime_element_correspondence(A, iq),
+        lambda: check_prime_element_correspondence(an),
     )
-    verdict("pt-rad-homeo", lambda: check_spectrum_homeomorphism(A, iq, rad))
-    verdict("rad-opens-iso", lambda: check_radical_opens_iso(A, iq, rad))
+    verdict("pt-rad-homeo", lambda: check_spectrum_homeomorphism(an))
+    verdict("rad-opens-iso", lambda: check_radical_opens_iso(an))
     verdict("sobriety", sobriety)
     timings["verdicts"] = time.perf_counter() - t0
 

@@ -17,8 +17,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from .analysis import Source, analysis
 from .builders import two
-from .core import FiniteLattice, FiniteOrderedSemiring, bits, lattice_from_order, subset_key
+from .core import (
+    FiniteLattice,
+    FiniteOrderedSemiring,
+    bits,
+    inclusion_order,
+    lattice_from_order,
+    subset_key,
+)
 from .errors import (
     CorrespondenceFailure,
     CrossCheckFailure,
@@ -28,9 +36,8 @@ from .errors import (
     IsoFailure,
     LemmaViolation,
 )
-from .ideals import Ideal, IdealQuantale, enumerate_ideals, principal_ideal
+from .ideals import Ideal, IdealLattice, principal_ideal
 from .morphisms import enumerate_subadditive
-from .radicals import RadicalFrame, enumerate_radical_ideals, radical_closure
 
 
 @dataclass(frozen=True)
@@ -109,13 +116,13 @@ def _is_prime_mask(A: FiniteOrderedSemiring, mask: int) -> bool:
     return all(not mask >> A.mul[x][y] & 1 for x in outside for y in outside)
 
 
-def enumerate_primes(
-    A: FiniteOrderedSemiring, iq: Optional[IdealQuantale] = None
-) -> list[Ideal]:
+def enumerate_primes(A: Source, *built: IdealLattice) -> list[Ideal]:
     """All prime ideals, cross-checked against the morphisms into the
-    two-element chain via the kernel correspondence."""
-    iq = iq or enumerate_ideals(A)
-    primes = [I for I in iq.ideals if _is_prime_mask(A, I.mask)]
+    two-element chain via the kernel correspondence.  ``built`` are
+    structures of A made already (see ``analysis``)."""
+    an = analysis(A, *built)
+    A = an.owner
+    primes = [I for I in an.ideals.ideals if _is_prime_mask(A, I.mask)]
     kernels = sorted(
         (f.kernel_mask() for f in enumerate_subadditive(A, two())), key=subset_key
     )
@@ -126,19 +133,18 @@ def enumerate_primes(
     return primes
 
 
-def enumerate_maximal(
-    A: FiniteOrderedSemiring, iq: Optional[IdealQuantale] = None
-) -> list[Ideal]:
+def enumerate_maximal(A: Source) -> list[Ideal]:
     """Proper ideals maximal in the containment order."""
-    iq = iq or enumerate_ideals(A)
-    full = A.full_mask
+    an = analysis(A)
+    ideals = an.ideals.ideals
+    full = an.owner.full_mask
     out = []
-    for I in iq.ideals:
+    for I in ideals:
         if I.mask == full:
             continue
         if not any(
             J.mask != full and J.mask != I.mask and I.mask & ~J.mask == 0
-            for J in iq.ideals
+            for J in ideals
         ):
             out.append(I)
     return out
@@ -152,14 +158,12 @@ class MaximalPrimeReport:
     has_prime_non_maximal: bool
 
 
-def check_maximal_implies_prime(
-    A: FiniteOrderedSemiring, iq: Optional[IdealQuantale] = None
-) -> MaximalPrimeReport:
+def check_maximal_implies_prime(A: Source) -> MaximalPrimeReport:
     """Every maximal ideal must be prime; the witness on failure is the
     product pair that escapes the ideal."""
-    iq = iq or enumerate_ideals(A)
-    primes = {I.mask for I in enumerate_primes(A, iq)}
-    maximal = enumerate_maximal(A, iq)
+    an = analysis(A)
+    A, maximal = an.owner, an.maximal
+    primes = {I.mask for I in an.primes}
     for I in maximal:
         if I.mask not in primes:
             witness = next(
@@ -197,18 +201,17 @@ class DegeneracyReport:
         return self.all_below_zero
 
 
-def check_degeneracy_equivalence(
-    A: FiniteOrderedSemiring, iq: Optional[IdealQuantale] = None
-) -> DegeneracyReport:
+def check_degeneracy_equivalence(A: Source) -> DegeneracyReport:
     """The four degeneracy conditions must agree, and the first is the same
     as the zero ideal swallowing the carrier."""
-    iq = iq or enumerate_ideals(A)
+    an = analysis(A)
+    A = an.owner
     conds = DegeneracyReport(
         instance=A.name,
         all_below_zero=all(A.le(x, A.zero) for x in range(A.n)),
         one_below_zero=A.le(A.one, A.zero),
-        no_primes=not enumerate_primes(A, iq),
-        no_maximal=not enumerate_maximal(A, iq),
+        no_primes=not an.primes,
+        no_maximal=not an.maximal,
     )
     flags = (conds.all_below_zero, conds.one_below_zero, conds.no_primes, conds.no_maximal)
     if len(set(flags)) != 1:
@@ -225,15 +228,15 @@ def check_degeneracy_equivalence(
     return conds
 
 
-def spectrum_space(
-    A: FiniteOrderedSemiring, iq: Optional[IdealQuantale] = None
-) -> FiniteTopSpace:
+def spectrum_space(A: Source, *built: IdealLattice) -> FiniteTopSpace:
     """The space of prime ideals with basic opens D(x) = primes omitting x.
 
     Point order is canonical (by prime bitmask); the basis is closed under
     intersection because D(x) meets D(y) in D(xy), which is asserted.
+    ``built`` are structures of A made already (see ``analysis``).
     """
-    primes = enumerate_primes(A, iq)
+    an = analysis(A, *built)
+    A, primes = an.owner, an.primes
     d = []
     for x in range(A.n):
         d.append(sum(1 << i for i, P in enumerate(primes) if x not in P))
@@ -282,18 +285,15 @@ def opens_frame(X: FiniteTopSpace) -> FiniteLattice:
     opens = sorted(X.opens, key=subset_key)
     k = len(opens)
     pos = {u: i for i, u in enumerate(opens)}
-    leq = tuple(
-        sum(1 << j for j in range(k) if opens[i] & ~opens[j] == 0) for i in range(k)
-    )
     meet = tuple(tuple(pos[opens[i] & opens[j]] for j in range(k)) for i in range(k))
     lattice = lattice_from_order(
         labels=tuple("{" + ",".join(str(p) for p in bits(u)) + "}" for u in opens),
-        leq=leq,
+        leq=inclusion_order(opens),
         mul=meet,
         unit=k - 1,
         name=f"opens({X.name})",
     )
-    if not lattice.is_frame:
+    if not lattice.is_distributive:
         raise InternalMismatch(f"opens of {X.name} do not form a frame")
     for i in range(k):
         for j in range(k):
@@ -309,14 +309,9 @@ class SpaceIso:
     forward: tuple[int, ...]
     backward: tuple[int, ...]
     open_map: tuple[tuple[int, int], ...]  # (source open, image open) masks
-    verified: bool
 
 
-def check_spectrum_homeomorphism(
-    A: FiniteOrderedSemiring,
-    iq: Optional[IdealQuantale] = None,
-    rad: Optional[RadicalFrame] = None,
-) -> SpaceIso:
+def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
     """The canonical bijection between frame points of the radical frame
     and prime ideals, verified to be a homeomorphism.
 
@@ -324,12 +319,11 @@ def check_spectrum_homeomorphism(
     so the point bijection matches up underlying member sets; the opens
     correspond with D(x) matching the open of the radical of <x>.
     """
-    iq = iq or enumerate_ideals(A)
-    rad = rad or enumerate_radical_ideals(A, iq)
-    spec = spectrum_space(A, iq)
+    an = analysis(A)
+    A, rad, spec = an.owner, an.radicals, an.spectrum
     pts = frame_points(rad.lattice)
     prime_masks = [rad.ideals[m].mask for m in rad.lattice.meet_primes]
-    spec_masks = [P.mask for P in enumerate_primes(A, iq)]
+    spec_masks = [P.mask for P in an.primes]
     if sorted(prime_masks) != sorted(spec_masks):
         raise HomeoFailure(
             f"{A.name}: meet-prime radical ideals differ from prime ideals"
@@ -351,8 +345,7 @@ def check_spectrum_homeomorphism(
             raise HomeoFailure(f"{A.name}: preimage of a spectrum open is not open")
 
     assert spec.basis is not None
-    for x in range(A.n):
-        r = rad.index_of(radical_closure(A, principal_ideal(A, x)).mask)
+    for x, r in enumerate(an.radical_principal):
         u_r = sum(
             1 << i
             for i, m in enumerate(rad.lattice.meet_primes)
@@ -363,12 +356,7 @@ def check_spectrum_homeomorphism(
                 f"{A.name}: D({A.labels[x]}) does not match the open of the "
                 f"radical principal ideal"
             )
-    return SpaceIso(
-        forward=forward,
-        backward=backward,
-        open_map=tuple(open_map),
-        verified=True,
-    )
+    return SpaceIso(forward=forward, backward=backward, open_map=tuple(open_map))
 
 
 @dataclass(frozen=True)
@@ -378,18 +366,12 @@ class RadicalOpensReport:
     open_count: int
 
 
-def check_radical_opens_iso(
-    A: FiniteOrderedSemiring,
-    iq: Optional[IdealQuantale] = None,
-    rad: Optional[RadicalFrame] = None,
-) -> RadicalOpensReport:
+def check_radical_opens_iso(A: Source) -> RadicalOpensReport:
     """The radical frame is the frame of opens of the spectrum: the map
     sending a radical ideal to the primes not containing it is a frame
     isomorphism carrying radical principal ideals to the basic opens."""
-    iq = iq or enumerate_ideals(A)
-    rad = rad or enumerate_radical_ideals(A, iq)
-    spec = spectrum_space(A, iq)
-    primes = enumerate_primes(A, iq)
+    an = analysis(A)
+    A, rad, spec, primes = an.owner, an.radicals, an.spectrum, an.primes
     O = opens_frame(spec)
     opens_sorted = sorted(spec.opens, key=subset_key)
     pos = {u: i for i, u in enumerate(opens_sorted)}
@@ -416,8 +398,7 @@ def check_radical_opens_iso(
             if forward[rad.lattice.meet[i][j]] != O.meet[forward[i]][forward[j]]:
                 raise IsoFailure(f"{A.name}: open-set map does not preserve meets")
     assert spec.basis is not None
-    for x in range(A.n):
-        r = rad.index_of(radical_closure(A, principal_ideal(A, x)).mask)
+    for x, r in enumerate(an.radical_principal):
         if opens_sorted[forward[r]] != spec.basis[x][1]:
             raise IsoFailure(
                 f"{A.name}: radical of <{A.labels[x]}> does not map to D({A.labels[x]})"
@@ -433,12 +414,11 @@ class PrimeElementReport:
     prime_count: int
 
 
-def check_prime_element_correspondence(
-    A: FiniteOrderedSemiring, iq: Optional[IdealQuantale] = None
-) -> PrimeElementReport:
+def check_prime_element_correspondence(A: Source) -> PrimeElementReport:
     """An ideal is prime exactly when it is a prime element of the ideal
     quantale: proper, and dividing a product only by dividing a factor."""
-    iq = iq or enumerate_ideals(A)
+    an = analysis(A)
+    A, iq = an.owner, an.ideals
     L = iq.lattice
     assert L.mul is not None
     count = 0

@@ -206,7 +206,6 @@ def _drop_integrality(Q):
         unit=Q.unit,
         is_distributive=Q.is_distributive,
         is_integral_quantale=False,
-        is_frame=Q.is_frame,
     )
 
 

@@ -72,7 +72,7 @@ def test_enumerate_radical_ideals_counts():
     assert [I.label for I in rad4.ideals] == ["{0,2}", "{0,1,2,3}"]
     radb = enumerate_radical_ideals(osr.build_boolean_ring(2))
     assert len(radb.ideals) == 4
-    assert radb.lattice.is_frame
+    assert radb.lattice.is_distributive
     assert len(radb.lattice.join_irreducibles) == 2  # a diamond
 
 
