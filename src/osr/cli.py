@@ -13,7 +13,7 @@ import sys
 
 from .analysis import Analysis
 from .builders import from_builder_spec
-from .core import FiniteOrderedSemiring, validate
+from .core import FiniteOrderedSemiring, bits, validate
 from .dot import TARGETS, emit_dot
 from .errors import AxiomViolation, OsrError, VerificationFailure
 from .osrfile import parse_file
@@ -107,41 +107,29 @@ def _ideal_listing(args, kind: str) -> int:
     return EXIT_OK
 
 
+def _space_listing(args, A, space, title: str, list_opens: bool) -> int:
+    """Points and opens of a finite space, shared by ``spec`` and ``pt``."""
+    opens = [list(bits(u)) for u in sorted(space.opens)]
+    payload = {"name": A.name, "points": list(space.point_labels), "opens": opens}
+    human = [f"{title}: {space.n} points, {len(opens)} opens"]
+    human.extend(f"point {lab}" for lab in space.point_labels)
+    if list_opens:
+        human.extend("open {" + ",".join(map(str, u)) + "}" for u in opens)
+    _emit(args, payload, "\n".join(human) + "\n")
+    return EXIT_OK
+
+
 def _cmd_spec(args) -> int:
     A = _load(args)
     space = Analysis(A).spectrum
-    opens = sorted(space.opens)
-    payload = {
-        "name": A.name,
-        "points": list(space.point_labels),
-        "opens": [[i for i in range(space.n) if u >> i & 1] for u in opens],
-    }
-    human = [f"spectrum of {A.name}: {space.n} points, {len(opens)} opens"]
-    human.extend(f"point {lab}" for lab in space.point_labels)
-    for u in opens:
-        human.append(
-            "open {" + ",".join(str(i) for i in range(space.n) if u >> i & 1) + "}"
-        )
-    _emit(args, payload, "\n".join(human) + "\n")
-    return EXIT_OK
+    return _space_listing(args, A, space, f"spectrum of {A.name}", True)
 
 
 def _cmd_pt(args) -> int:
     A = _load(args)
     space = frame_points(Analysis(A).radicals.lattice)
-    opens = sorted(space.opens)
-    payload = {
-        "name": A.name,
-        "points": list(space.point_labels),
-        "opens": [[i for i in range(space.n) if u >> i & 1] for u in opens],
-    }
-    human = [
-        f"points of the radical frame of {A.name}: "
-        f"{space.n} points, {len(opens)} opens"
-    ]
-    human.extend(f"point {lab}" for lab in space.point_labels)
-    _emit(args, payload, "\n".join(human) + "\n")
-    return EXIT_OK
+    title = f"points of the radical frame of {A.name}"
+    return _space_listing(args, A, space, title, False)
 
 
 def _cmd_reflect(args) -> int:

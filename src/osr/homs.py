@@ -5,10 +5,9 @@ unit.  Frame homomorphisms and bounded-lattice homomorphisms are the same
 thing at finite scale once meet is treated as the multiplication and top as
 the unit, so one enumerator covers every universality check in the package.
 
-Enumeration assigns values only to the join-irreducible elements of the
-source (a join-preserving map is determined by them) and filters the join
-extension by the remaining laws; this is exact and far smaller than raw
-function search.
+Enumeration runs the same forward-checking engine as the morphism search
+(``search.forward_search``) over every element of the source, testing each
+preservation law as soon as the elements it mentions have values.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteLattice, FiniteOrderedSemiring, bits
-from .errors import NotAQuantale, SizeLimit, UniversalityFailure
+from .errors import InternalMismatch, NotAQuantale, UniversalityFailure
 from .morphisms import enumerate_subadditive
-
-HOM_SEARCH_LIMIT = 1 << 24
+from .search import forward_search
 
 
 @dataclass(frozen=True)
@@ -54,52 +52,33 @@ def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, values) -> bool:
 def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeHom]:
     """All quantale homomorphisms L -> Q, sorted by value table.
 
-    Iterates over monotone assignments to the join-irreducibles of L,
-    extends by joins, and keeps the extensions that restrict correctly and
-    preserve everything.
+    Runs the forward-checking engine over every element of L with bottom
+    and unit pinned, monotonicity, and preservation of binary joins and
+    products as constraints.  Every value table it finds is re-verified by
+    ``is_quantale_hom``; one that fails raises InternalMismatch.
     """
-    ji = L.join_irreducibles
-    if Q.n ** max(len(ji), 1) > HOM_SEARCH_LIMIT:
-        raise SizeLimit(
-            f"{Q.n}^{len(ji)} join-irreducible assignments exceed the guardrail"
-        )
-    out = []
-    assignment = [0] * len(ji)
+    if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
+        raise NotAQuantale("both lattices must carry a multiplication")
+    out: list[LatticeHom] = []
 
-    def extend() -> tuple[int, ...] | None:
-        values = []
-        for x in range(L.n):
-            v = Q.bottom
-            for k, j in enumerate(ji):
-                if L.le(j, x):
-                    v = Q.join[v][assignment[k]]
-            values.append(v)
-        for k, j in enumerate(ji):
-            if values[j] != assignment[k]:
-                return None
-        return tuple(values)
+    def leaf(values) -> None:
+        if not is_quantale_hom(L, Q, values):
+            raise InternalMismatch(
+                f"map {list(values)} from {L.name} to {Q.name} passed forward "
+                f"checking but is not a quantale homomorphism"
+            )
+        out.append(LatticeHom(L, Q, values))
 
-    def search(k: int) -> None:
-        if k == len(ji):
-            values = extend()
-            if values is not None and is_quantale_hom(L, Q, values):
-                out.append(LatticeHom(L, Q, values))
-            return
-        for v in range(Q.n):
-            ok = True
-            for i in range(k):
-                if L.le(ji[i], ji[k]) and not Q.le(assignment[i], v):
-                    ok = False
-                    break
-                if L.le(ji[k], ji[i]) and not Q.le(v, assignment[i]):
-                    ok = False
-                    break
-            if ok:
-                assignment[k] = v
-                search(k + 1)
-
-    search(0)
-    out.sort(key=lambda h: h.values)
+    forward_search(
+        L.n,
+        Q.n,
+        Q.leq,
+        ((L.bottom, Q.bottom, True), (L.unit, Q.unit, True)),
+        L.leq,
+        ((L.join, Q.join, True), (L.mul, Q.mul, True)),
+        leaf,
+        layer=f"hom search {L.name} -> {Q.name}",
+    )
     return out
 
 

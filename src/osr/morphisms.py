@@ -3,7 +3,8 @@
 A subadditive morphism is monotone with f(0) <= 0, f(1) = 1,
 f(x+y) <= f(x)+f(y) and f(xy) = f(x)f(y).  A homomorphism additionally has
 f(0) = 0 and f(x+y) = f(x)+f(y).  Classification flags are always computed
-exhaustively over all element pairs.
+exhaustively over all element pairs.  Enumeration runs the forward-checking
+engine of ``search`` and reclassifies every map it finds.
 
 The fixed global convention tying morphisms to ideals is f <-> f^{-1}(0):
 a map to the two-element chain classifies the ideal of elements sent to
@@ -15,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteOrderedSemiring, bits
-from .errors import EndpointMismatch, ForcedHomomorphismFailure, SizeLimit
-
-ENUMERATION_LIMIT = 1 << 24  # candidate value arrays
+from .errors import EndpointMismatch, ForcedHomomorphismFailure, InternalMismatch
+from .search import forward_search
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,9 @@ def classify(
         raise EndpointMismatch(
             f"value array of length {len(values)} does not map {A.name} into {B.name}"
         )
-    ble = B.le
+    bleq = B.leq  # bleq[u] >> v & 1 iff u <= v in B
     monotone = all(
-        ble(values[i], values[j]) for i in range(A.n) for j in bits(A.leq[i])
+        bleq[values[i]] >> values[j] & 1 for i in range(A.n) for j in bits(A.leq[i])
     )
     f0, f1 = values[A.zero], values[A.one]
     subadd = True
@@ -111,19 +111,21 @@ def classify(
     submul = True
     for x in range(A.n):
         fx = values[x]
+        add_row, mul_row = A.add[x], A.mul[x]
+        sum_row, prod_row = B.add[fx], B.mul[fx]
         for y in range(A.n):
             fy = values[y]
-            s = values[A.add[x][y]]
-            p = values[A.mul[x][y]]
-            ts = B.add[fx][fy]
-            tp = B.mul[fx][fy]
+            s = values[add_row[y]]
+            p = values[mul_row[y]]
+            ts = sum_row[fy]
+            tp = prod_row[fy]
             if s != ts:
                 add_ok = False
-            if not ble(s, ts):
+            if not bleq[s] >> ts & 1:
                 subadd = False
             if p != tp:
                 mul_ok = False
-            if not ble(p, tp):
+            if not bleq[p] >> tp & 1:
                 submul = False
         if not (subadd or submul):
             break
@@ -132,10 +134,10 @@ def classify(
         target=B,
         values=values,
         monotone=monotone,
-        zero_subzero=ble(f0, B.zero),
+        zero_subzero=B.le(f0, B.zero),
         zero_strict=f0 == B.zero,
         unit_strict=f1 == B.one,
-        unit_subunit=ble(f1, B.one),
+        unit_subunit=B.le(f1, B.one),
         subadditive=subadd,
         additive=add_ok,
         multiplicative=mul_ok,
@@ -146,51 +148,40 @@ def classify(
 def _search(
     A: FiniteOrderedSemiring,
     B: FiniteOrderedSemiring,
+    pins,
+    mul_equal: bool,
     keep,
-    strict_unit: bool,
 ) -> list[MorphismTable]:
-    """Backtracking over all value arrays in lexicographic order.
+    """Every map A -> B passing the forward-checking engine, in lexicographic
+    order of value arrays.
 
-    Prunes on monotonicity and on the zero/unit positions as soon as they
-    are assigned; ``keep`` filters the fully classified leaves.
+    Constraints: ``pins`` on the zero/unit positions, monotonicity,
+    subadditivity f(x+y) <= f(x)+f(y), and multiplicativity f(xy) = f(x)f(y)
+    (``mul_equal``) or submultiplicativity f(xy) <= f(x)f(y).  Each map
+    found is reclassified exhaustively by ``classify``; one that ``keep``
+    rejects raises InternalMismatch instead of being dropped.
     """
-    if B.n ** A.n > ENUMERATION_LIMIT:
-        raise SizeLimit(
-            f"{B.n}^{A.n} candidate maps exceed the enumeration guardrail"
-        )
-    n = A.n
-    values = [0] * n
     out: list[MorphismTable] = []
-    ble = B.le
 
-    def admissible(k: int, v: int) -> bool:
-        for i in range(k):
-            if A.le(i, k) and not ble(values[i], v):
-                return False
-            if A.le(k, i) and not ble(v, values[i]):
-                return False
-        if k == A.zero and not ble(v, B.zero):
-            return False
-        if k == A.one:
-            if strict_unit and v != B.one:
-                return False
-            if not strict_unit and not ble(v, B.one):
-                return False
-        return True
+    def leaf(values) -> None:
+        table = classify(A, B, values)
+        if not keep(table):
+            raise InternalMismatch(
+                f"map {list(values)} from {A.name} to {B.name} passed forward "
+                f"checking but fails the exhaustive classification"
+            )
+        out.append(table)
 
-    def assign(k: int) -> None:
-        if k == n:
-            table = classify(A, B, values)
-            if keep(table):
-                out.append(table)
-            return
-        for v in range(B.n):
-            if admissible(k, v):
-                values[k] = v
-                assign(k + 1)
-                values[k] = 0
-
-    assign(0)
+    forward_search(
+        A.n,
+        B.n,
+        B.leq,
+        pins,
+        A.leq,
+        ((A.add, B.add, False), (A.mul, B.mul, mul_equal)),
+        leaf,
+        layer=f"morphism search {A.name} -> {B.name}",
+    )
     return out
 
 
@@ -201,7 +192,11 @@ def enumerate_subadditive(
 ) -> list[MorphismTable]:
     """All subadditive morphisms A -> B, sorted by value array."""
     return _search(
-        A, B, lambda t: t.subadditive_with_zero_mode(strict_zero), strict_unit=True
+        A,
+        B,
+        ((A.zero, B.zero, strict_zero), (A.one, B.one, True)),
+        mul_equal=True,
+        keep=lambda t: t.subadditive_with_zero_mode(strict_zero),
     )
 
 
@@ -212,7 +207,13 @@ def enumerate_sub_submul(
 
     Into the two-element chain these classify exactly the ideals of A.
     """
-    return _search(A, B, lambda t: t.is_sub_submultiplicative, strict_unit=False)
+    return _search(
+        A,
+        B,
+        ((A.zero, B.zero, False), (A.one, B.one, False)),
+        mul_equal=False,
+        keep=lambda t: t.is_sub_submultiplicative,
+    )
 
 
 def compose(f: MorphismTable, g: MorphismTable) -> MorphismTable:

@@ -1,4 +1,4 @@
-"""The join-irreducible hom enumeration against raw function search."""
+"""The quantale-hom enumeration against raw function search."""
 
 from itertools import product
 
@@ -19,15 +19,17 @@ def small_lattices():
     yield osr.chain_frame(1)
     yield osr.chain_frame(2)
     yield osr.chain_frame(3)
+    yield osr.chain_frame(6)
     yield osr.diamond_frame()
     yield osr.nilpotent_chain_quantale()
     yield enumerate_ideals(osr.build_zmod(4)).lattice
     yield enumerate_ideals(osr.build_zmod(6)).lattice
+    yield enumerate_ideals(osr.build_chain_lattice(9)).lattice
     yield osr.enumerate_radical_ideals(osr.build_boolean_ring(2)).lattice
     yield osr.downset_frame(3, [(0, 1)], name="grid2x3")
 
 
-def test_ji_enumeration_matches_raw_search():
+def test_hom_enumeration_matches_raw_search():
     sources = list(small_lattices())
     targets = [
         osr.chain_frame(2),
