@@ -27,13 +27,14 @@ LePairs = tuple[tuple[str, str], ...]
 
 
 def bits(mask: int) -> Iterable[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    i = 0
+    """Yield the set bit positions of ``mask`` in increasing order.
+
+    Steps from lowest set bit to lowest set bit, never over a zero bit.
+    """
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def popcount(mask: int) -> int:
@@ -140,6 +141,22 @@ class FiniteOrderedSemiring:
     def lower_masks(self) -> tuple[int, ...]:
         """``lower_masks[j]`` = bitmask of ``{i : i <= j}``."""
         return lower_masks(self.leq)
+
+    @cached_property
+    def powers(self) -> tuple[int, ...]:
+        """``powers[x]`` = bitmask of the positive powers ``x, x*x, ...``.
+
+        The walk stops at the first repeated power: the next power depends
+        only on the current one, so nothing new follows a repeat.
+        """
+        out = []
+        for x in range(self.n):
+            mask, p = 0, x
+            while not mask >> p & 1:
+                mask |= 1 << p
+                p = self.mul[p][x]
+            out.append(mask)
+        return tuple(out)
 
     @property
     def is_discrete(self) -> bool:
@@ -277,7 +294,9 @@ def validate(desc: RawSemiringDescription) -> FiniteOrderedSemiring:
     if n == 0:
         raise LabelError("carrier must be non-empty")
     if n > MAX_ELEMENTS:
-        raise SizeLimit(f"carrier has {n} elements; guardrail is {MAX_ELEMENTS}")
+        raise SizeLimit(
+            f"validate: carrier has {n} elements; guardrail is {MAX_ELEMENTS}"
+        )
     index: dict = {}
     for i, e in enumerate(elements):
         if e in index:

@@ -1,9 +1,11 @@
 """Ideals of a finite ordered semiring and the integral quantale they form.
 
 An ideal is a downward-closed subset that contains zero, is closed under
-addition, and absorbs multiplication.  Generated ideals are computed by
-fixed-point closure; the explicit bounded-sum formula is kept alongside as
-an independent oracle and the two are compared by the verification suite.
+addition, and absorbs multiplication.  Generated ideals are computed by a
+one-pass worklist closure (``_close``) that handles each element of the
+result at most once and each pair of elements at most once; the explicit
+bounded-sum formula is kept alongside as an independent oracle and the two
+are compared by the verification suite.
 
 Ideal identity is by member bitmask; within one IdealLattice the ideals
 are interned in canonical order (by size, then bitmask) and all tables are
@@ -76,10 +78,11 @@ def is_ideal(A: FiniteOrderedSemiring, members: Members) -> bool:
     mask = as_mask(A, members)
     if not mask >> A.zero & 1:
         return False
-    for x in bits(mask):
+    members = list(bits(mask))
+    for x in members:
         if A.lower_masks[x] & ~mask:
             return False
-        for y in bits(mask):
+        for y in members:
             if not mask >> A.add[x][y] & 1:
                 return False
         for y in range(A.n):
@@ -89,20 +92,37 @@ def is_ideal(A: FiniteOrderedSemiring, members: Members) -> bool:
 
 
 def _close(A: FiniteOrderedSemiring, mask: int) -> int:
-    """Least ideal containing the subset: fixed point of the closure rules."""
+    """Least ideal containing the subset, in one pass over its elements.
+
+    Every element that enters the mask is taken from a worklist once.
+    Taking ``x`` adds everything below ``x*y`` for every ``y`` -- downward
+    closure and absorption at once, since ``x*1 = x`` -- and ``x+y`` for
+    every ``y`` taken before it, ``x`` included.  Each pair of elements is
+    thus added once, not once per round of a naive fixed point.  An element
+    strictly below another one of the mask is dropped from the worklist
+    instead: by monotonicity everything it would add lies below something
+    the larger element adds.  "Strictly" keeps two elements that are each
+    below the other (a preorder) from dropping each other.
+    """
+    add, mul, leq, lower = A.add, A.mul, A.leq, A.lower_masks
     mask |= 1 << A.zero
-    while True:
-        prev = mask
-        for x in bits(prev):
-            mask |= A.lower_masks[x]
-            row = A.mul[x]
-            for y in range(A.n):
-                mask |= 1 << row[y]
-        for x in bits(mask):
-            for y in bits(mask):
-                mask |= 1 << A.add[x][y]
-        if mask == prev:
-            return mask
+    taken = seen = 0
+    todo = mask
+    while todo:
+        low = todo & -todo
+        x = low.bit_length() - 1
+        seen |= low
+        if not leq[x] & ~lower[x] & mask:
+            taken |= low
+            for z in mul[x]:
+                mask |= lower[z]
+            row, rest = add[x], taken
+            while rest:
+                bit = rest & -rest
+                mask |= 1 << row[bit.bit_length() - 1]
+                rest ^= bit
+        todo = mask & ~seen
+    return mask
 
 
 def generated_ideal(A: FiniteOrderedSemiring, members: Members) -> Ideal:
@@ -166,11 +186,18 @@ def ideal_product(A: FiniteOrderedSemiring, I: Ideal, J: Ideal) -> Ideal:
     for K in (I, J):
         if K.owner != A:
             raise OwnerMismatch(f"ideal of {K.owner.name} multiplied over {A.name}")
-    mask = 0
-    for x in bits(I.mask):
-        for y in bits(J.mask):
-            mask |= 1 << A.mul[x][y]
-    return generated_ideal(A, mask)
+    return generated_ideal(A, _products(A, I.mask, J.mask))
+
+
+def _products(A: FiniteOrderedSemiring, s_mask: int, t_mask: int) -> int:
+    """Mask of every product ``s*t`` with ``s`` in one subset, ``t`` in the other."""
+    ts = list(bits(t_mask))
+    out = 0
+    for s in bits(s_mask):
+        row = A.mul[s]
+        for t in ts:
+            out |= 1 << row[t]
+    return out
 
 
 def check_product_of_generators(
@@ -178,12 +205,8 @@ def check_product_of_generators(
 ) -> bool:
     """Does <S> . <T> equal the ideal generated by the pairwise products?"""
     s_mask, t_mask = as_mask(A, S), as_mask(A, T)
-    st = 0
-    for s in bits(s_mask):
-        for t in bits(t_mask):
-            st |= 1 << A.mul[s][t]
     lhs = ideal_product(A, generated_ideal(A, s_mask), generated_ideal(A, t_mask))
-    return lhs.mask == _close(A, st)
+    return lhs.mask == _close(A, _products(A, s_mask, t_mask))
 
 
 def enumerate_ideals_bruteforce(A: FiniteOrderedSemiring) -> list[int]:
@@ -256,13 +279,18 @@ def ideal_lattice(
         unit=k - 1,
         name=name,
     )
+
+    def pair(i: int, j: int) -> str:
+        return f"{A.set_label(masks[i])} and {A.set_label(masks[j])} in {name}"
+
     for i in range(k):
         for j in range(k):
-            pair = f"{A.set_label(masks[i])} and {A.set_label(masks[j])} in {name}"
             if masks[lattice.join[i][j]] != close(masks[i] | masks[j]):
-                raise InternalMismatch(f"join of {pair} is not the closure of the union")
+                raise InternalMismatch(
+                    f"join of {pair(i, j)} is not the closure of the union"
+                )
             if masks[lattice.meet[i][j]] != masks[i] & masks[j]:
-                raise InternalMismatch(f"meet of {pair} is not the intersection")
+                raise InternalMismatch(f"meet of {pair(i, j)} is not the intersection")
     return IdealLattice(A, kind, tuple(Ideal(A, m) for m in masks), lattice)
 
 

@@ -1,9 +1,11 @@
 """Radical ideals, the frame they form, and the distributive reflection.
 
 A radical ideal contains every element some power of which it contains.
-The root-exponent bound ``n <= |A|`` is exact -- the power sequence of an
-element revisits itself within the carrier size -- and stabilization at the
-bound is asserted at runtime rather than assumed.
+Each element's positive powers are read from the semiring's ``powers``
+row, computed once per semiring.  On the quantale side ``power_set`` walks
+the powers itself: the root-exponent bound ``n <= |Q|`` is exact -- the
+power sequence of an element revisits itself within the carrier size --
+and stabilization at the bound is asserted at runtime rather than assumed.
 
 For abstract finite integral quantales the same closure is the semiprime
 reflection; the radical ideals of a semiring are exactly the semiprime
@@ -21,6 +23,7 @@ from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
     Table,
+    bits,
     lattice_from_order,
 )
 from .errors import (
@@ -60,12 +63,7 @@ def power_set(mul: Table, size: int, x: int) -> set[int]:
 def is_radical(A: FiniteOrderedSemiring, members) -> bool:
     """Does the ideal contain every element with a power inside it?"""
     mask = as_mask(A, members)
-    for x in range(A.n):
-        if mask >> x & 1:
-            continue
-        if any(mask >> p & 1 for p in power_set(A.mul, A.n, x)):
-            return False
-    return True
+    return not any(A.powers[x] & mask for x in bits(A.full_mask & ~mask))
 
 
 def radical_closure(A: FiniteOrderedSemiring, I: Ideal) -> Ideal:
@@ -76,10 +74,8 @@ def radical_closure(A: FiniteOrderedSemiring, I: Ideal) -> Ideal:
     mask = I.mask
     while True:
         prev = mask
-        for x in range(A.n):
-            if not mask >> x & 1 and any(
-                mask >> p & 1 for p in power_set(A.mul, A.n, x)
-            ):
+        for x in bits(A.full_mask & ~mask):
+            if A.powers[x] & mask:
                 mask |= 1 << x
         mask = _close(A, mask)
         if mask == prev:

@@ -1,6 +1,8 @@
 """Validation and builder behaviour."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import osr
 from osr import (
@@ -12,7 +14,7 @@ from osr import (
     SizeLimit,
     validate,
 )
-from osr.core import lattice_from_order
+from osr.core import bits, lattice_from_order
 from osr.errors import NotALattice
 
 
@@ -115,8 +117,22 @@ def test_validate_label_errors():
 
 
 def test_size_guardrail():
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="^validate: carrier has 25 elements"):
         validate(desc_zmod(25))
+
+
+def _bits_by_shifting(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_bits_on_edge_masks():
+    for mask in [0, (1 << 24) - 1, *(1 << i for i in range(24))]:
+        assert list(bits(mask)) == _bits_by_shifting(mask)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 24) - 1))
+def test_bits_matches_shift_scan(mask):
+    assert list(bits(mask)) == _bits_by_shifting(mask)
 
 
 def test_le_pairs_take_reflexive_transitive_closure():

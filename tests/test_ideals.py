@@ -80,9 +80,13 @@ def test_enumeration_matches_subset_filter_oracle(family8):
 
 
 def test_generated_matches_intersection_oracle(family8):
+    """Every seed subset, over the family and over two genuine preorders
+    (distinct elements each below the other), where a closure that assumed
+    antisymmetry would go wrong."""
     from .oracle import ideal_masks_bruteforce as all_ideals
+    from .test_preorders import glued_truncnat3, indiscrete_z2
 
-    for A in family8:
+    for A in [*family8, indiscrete_z2(), glued_truncnat3()]:
         ideals = all_ideals(A)
         full = (1 << A.n) - 1
         for seed in range(1 << A.n):

@@ -17,12 +17,20 @@ from osr import (
 )
 from osr.errors import NotIntegral
 from osr.ideals import generated_ideal
+from osr.radicals import power_set
 
 from .oracle import radical_masks_bruteforce
 
 
 def labels_of(A, mask):
     return {A.labels[x] for x in range(A.n) if mask >> x & 1}
+
+
+def test_powers_row_matches_power_walk(family8):
+    for A in family8:
+        for x in range(A.n):
+            walk = power_set(A.mul, A.n, x)
+            assert A.powers[x] == sum(1 << p for p in walk)
 
 
 def test_radical_closure_examples():
