@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .core import FiniteOrderedSemiring
-from .errors import OwnerMismatch, VerificationFailure
+from .errors import VerificationFailure
 
 if TYPE_CHECKING:
     from .ideals import Ideal, IdealLattice
@@ -118,16 +118,6 @@ class Analysis:
 Source = FiniteOrderedSemiring | Analysis
 
 
-def analysis(A: Source, *built: "IdealLattice") -> Analysis:
-    """``A`` itself if it is an analysis, else a new analysis of ``A``.
-
-    ``built`` are lattices of ideals of A made already, by
-    ``enumerate_ideals`` or ``enumerate_radical_ideals``; the analysis uses
-    them instead of building them again.
-    """
-    an = A if isinstance(A, Analysis) else Analysis(A)
-    for L in built:
-        if L.owner != an.owner:
-            raise OwnerMismatch(f"{L.lattice.name} given for {an.owner.name}")
-        an._built.setdefault(L.kind, L)
-    return an
+def analysis(A: Source) -> Analysis:
+    """``A`` itself if it is an analysis, else a new analysis of ``A``."""
+    return A if isinstance(A, Analysis) else Analysis(A)

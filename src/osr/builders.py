@@ -16,6 +16,7 @@ from .core import (
     RawSemiringDescription,
     Table,
     bits,
+    bits_label,
     lattice_from_order,
     lower_masks,
     subset_key,
@@ -88,10 +89,6 @@ def _downsets(npoints: int, closed_rows: Sequence[int]) -> list[int]:
     return out
 
 
-def _setlab(mask: int) -> str:
-    return "{" + ",".join(str(i) for i in bits(mask)) + "}"
-
-
 def build_dlat_from_poset(
     npoints: int, relation: Iterable[tuple[int, int]]
 ) -> FiniteOrderedSemiring:
@@ -114,7 +111,7 @@ def build_dlat_from_poset(
             if i != j and closed[j] >> i & 1:
                 raise NotAPartialOrder(f"cycle through points {i} and {j}")
     downs = _downsets(npoints, lower_masks(closed))
-    lab = tuple(_setlab(s) for s in downs)
+    lab = tuple(bits_label(s) for s in downs)
     idx = {s: i for i, s in enumerate(downs)}
     pairs = tuple(
         (lab[i], lab[j])
@@ -150,7 +147,7 @@ def build_boolean_ring(atoms: int) -> FiniteOrderedSemiring:
     if not 1 <= atoms <= 3:
         raise LabelError("atoms must be between 1 and 3")
     subsets = sorted(range(1 << atoms), key=subset_key)
-    lab = tuple(_setlab(s) for s in subsets)
+    lab = tuple(bits_label(s) for s in subsets)
     idx = {s: i for i, s in enumerate(subsets)}
     return validate(
         RawSemiringDescription(

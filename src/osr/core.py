@@ -37,6 +37,11 @@ def bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+def bits_label(mask: int) -> str:
+    """The set bit positions of ``mask`` as a set label, e.g. ``{0,2}``."""
+    return "{" + ",".join(str(i) for i in bits(mask)) + "}"
+
+
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
 

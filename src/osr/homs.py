@@ -3,7 +3,10 @@
 A quantale homomorphism preserves all joins, the multiplication, and the
 unit.  Frame homomorphisms and bounded-lattice homomorphisms are the same
 thing at finite scale once meet is treated as the multiplication and top as
-the unit, so one enumerator covers every universality check in the package.
+the unit, so one enumerator covers every universality check in the package,
+and one ``check_universal_property`` serves both adjunctions (the ideal
+quantale and the radical frame as left adjoints) and the distributive
+reflection: each passes its lattice of ideals and its universal arrow.
 
 Enumeration runs the same forward-checking engine as the morphism search
 (``search.forward_search``) over every element of the source, testing each
@@ -13,11 +16,16 @@ preservation law as soon as the elements it mentions have values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .core import FiniteLattice, FiniteOrderedSemiring, bits
+from .builders import build_from_quantale
+from .core import FiniteLattice, bits
 from .errors import InternalMismatch, NotAQuantale, UniversalityFailure
 from .morphisms import enumerate_subadditive
 from .search import forward_search
+
+if TYPE_CHECKING:
+    from .ideals import IdealLattice
 
 
 @dataclass(frozen=True)
@@ -92,28 +100,37 @@ class UniversalityReport:
     hom_count: int
 
 
+def join_extension(
+    L: IdealLattice, target: FiniteLattice, f_values
+) -> tuple[int, ...]:
+    """The map sending each ideal of ``L`` to the join in ``target`` of the
+    images ``f_values`` of its members, as target indices."""
+    return tuple(
+        target.join_of(f_values[x] for x in bits(I.mask)) for I in L.ideals
+    )
+
+
 def check_universal_property(
-    A: FiniteOrderedSemiring,
-    source: FiniteLattice,
+    L: IdealLattice,
     universal_values: tuple[int, ...],
-    member_masks: tuple[int, ...],
     target: FiniteLattice,
-    target_semiring: FiniteOrderedSemiring,
     strict_zero: bool = False,
 ) -> UniversalityReport:
     """Verify that composition with the universal arrow is a bijection.
 
-    ``source`` is the constructed quantale/frame over A, ``universal_values``
-    the universal subadditive morphism A -> source (as source indices), and
-    ``member_masks[i]`` the carrier subset underlying source element ``i``
-    (used to compute the join extension of a morphism).  The bijection
+    ``L`` is the lattice of ideals constructed over its owner A (the ideal
+    quantale or the radical frame) and ``universal_values`` the universal
+    subadditive morphism A -> L (as indices into ``L``).  The bijection
     checked is  g |-> g . universal  from quantale homomorphisms
-    source -> target onto subadditive morphisms A -> target_semiring, with
-    the join extension  f |-> (i |-> join of f over member_masks[i])  as
-    its inverse.  Raises UniversalityFailure with a witness on any failure.
+    L -> target onto subadditive morphisms from A into the semiring of
+    ``target``, with the join extension (``join_extension``) as its
+    inverse.  Raises UniversalityFailure with a witness on any failure.
     """
-    homs = enumerate_quantale_homs(source, target)
-    morphisms = enumerate_subadditive(A, target_semiring, strict_zero=strict_zero)
+    A = L.owner
+    homs = enumerate_quantale_homs(L.lattice, target)
+    morphisms = enumerate_subadditive(
+        A, build_from_quantale(target), strict_zero=strict_zero
+    )
     morphism_values = {m.values: m for m in morphisms}
 
     seen = set()
@@ -133,10 +150,7 @@ def check_universal_property(
 
     hom_values = {g.values for g in homs}
     for f in morphisms:
-        ext = tuple(
-            target.join_of(f.values[x] for x in bits(member_masks[i]))
-            for i in range(source.n)
-        )
+        ext = join_extension(L, target, f.values)
         if ext not in hom_values:
             raise UniversalityFailure(
                 f"{A.name}: join extension of morphism {list(f.values)} into "

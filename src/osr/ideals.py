@@ -35,13 +35,19 @@ from .errors import (
     NotSubadditive,
     OwnerMismatch,
 )
-from .homs import LatticeHom, UniversalityReport, check_universal_property
+from .homs import (
+    LatticeHom,
+    UniversalityReport,
+    check_universal_property,
+    is_quantale_hom,
+    join_extension,
+)
 from .morphisms import MorphismTable, classify, compose
 
 Members = Union[int, Iterable[int]]
 
 
-def as_mask(A: FiniteOrderedSemiring, members: Members) -> int:
+def as_mask(members: Members) -> int:
     if isinstance(members, int):
         return members
     mask = 0
@@ -75,7 +81,7 @@ class Ideal:
 def is_ideal(A: FiniteOrderedSemiring, members: Members) -> bool:
     """True iff the subset is downward closed, contains zero, is closed
     under addition, and absorbs multiplication."""
-    mask = as_mask(A, members)
+    mask = as_mask(members)
     if not mask >> A.zero & 1:
         return False
     members = list(bits(mask))
@@ -127,7 +133,7 @@ def _close(A: FiniteOrderedSemiring, mask: int) -> int:
 
 def generated_ideal(A: FiniteOrderedSemiring, members: Members) -> Ideal:
     """The least ideal of A containing the given subset."""
-    return Ideal(A, _close(A, as_mask(A, members)))
+    return Ideal(A, _close(A, as_mask(members)))
 
 
 def generated_ideal_by_sums(A: FiniteOrderedSemiring, members: Members) -> int:
@@ -137,7 +143,7 @@ def generated_ideal_by_sums(A: FiniteOrderedSemiring, members: Members) -> int:
     partial sums grows monotonically inside the carrier; stability at the
     cutoff is asserted rather than assumed.
     """
-    seed = as_mask(A, members)
+    seed = as_mask(members)
     prods = {A.mul[s][y] for s in bits(seed) for y in range(A.n)}
     sums = {A.zero}
     for _ in range(A.n):
@@ -204,7 +210,7 @@ def check_product_of_generators(
     A: FiniteOrderedSemiring, S: Members, T: Members
 ) -> bool:
     """Does <S> . <T> equal the ideal generated by the pairwise products?"""
-    s_mask, t_mask = as_mask(A, S), as_mask(A, T)
+    s_mask, t_mask = as_mask(S), as_mask(T)
     lhs = ideal_product(A, generated_ideal(A, s_mask), generated_ideal(A, t_mask))
     return lhs.mask == _close(A, _products(A, s_mask, t_mask))
 
@@ -342,15 +348,14 @@ def enumerate_ideals(A: FiniteOrderedSemiring) -> IdealLattice:
     return iq
 
 
-def canonical_embedding(A: Source, *built: IdealLattice) -> MorphismTable:
+def canonical_embedding(A: Source) -> MorphismTable:
     """The map sending each element to its principal ideal, as a morphism
     into the semiring induced by the ideal quantale.
 
     Asserts the subadditive-morphism flag (monotonicity, zero below bottom,
     unit to top, subadditivity, multiplicativity all hold by construction).
-    ``built`` are structures of A made already (see ``analysis``).
     """
-    an = analysis(A, *built)
+    an = analysis(A)
     A, iq, values = an.owner, an.ideals, an.principal
     table = classify(A, build_from_quantale(iq.lattice), values)
     if not table.is_subadditive_morphism:
@@ -397,67 +402,47 @@ def extend_to_quantale_hom(
             f"morphism target {f.target.name} is not the semiring induced by {Q.name}"
         )
     A = f.source
-    L = iq.lattice
-    values = tuple(
-        Q.join_of(f.values[x] for x in I.members) for I in iq.ideals
-    )
-    for i in range(L.n):
-        for j in range(L.n):
-            if values[L.join[i][j]] != Q.join[values[i]][values[j]]:
-                raise InternalMismatch("join extension does not preserve joins")
-            assert L.mul is not None and Q.mul is not None
-            if values[L.mul[i][j]] != Q.mul[values[i]][values[j]]:
-                raise InternalMismatch("join extension does not preserve products")
-    if values[iq.unit] != Q.unit or values[iq.bottom] != Q.bottom:
-        raise InternalMismatch("join extension does not preserve the bounds")
+    values = join_extension(iq, Q, f.values)
+    if not is_quantale_hom(iq.lattice, Q, values):
+        raise InternalMismatch(
+            f"join extension of {list(f.values)} from {A.name} into {Q.name} is "
+            f"not a quantale homomorphism"
+        )
     for x in range(A.n):
         if values[iq.index_of(principal_ideal(A, x).mask)] != f.values[x]:
             raise InternalMismatch(
                 f"triangle fails at {A.labels[x]}: extension of the morphism does "
                 f"not recover it on the principal ideal"
             )
-    return LatticeHom(source=L, target=Q, values=values)
+    return LatticeHom(source=iq.lattice, target=Q, values=values)
 
 
 def check_quantale_universality(
-    A: Source,
-    Q: FiniteLattice,
-    *built: IdealLattice,
-    strict_zero: bool = False,
+    A: Source, Q: FiniteLattice, strict_zero: bool = False
 ) -> UniversalityReport:
     """Verify that composition with the principal-ideal map is a bijection
     from quantale homomorphisms out of the ideal quantale onto subadditive
     morphisms out of A."""
     if not Q.is_integral_quantale:
         raise NotIntegral(f"{Q.name} is not an integral quantale")
-    an = analysis(A, *built)
-    return check_universal_property(
-        an.owner,
-        source=an.ideals.lattice,
-        universal_values=an.principal,
-        member_masks=tuple(I.mask for I in an.ideals.ideals),
-        target=Q,
-        target_semiring=build_from_quantale(Q),
-        strict_zero=strict_zero,
-    )
+    an = analysis(A)
+    return check_universal_property(an.ideals, an.principal, Q, strict_zero)
 
 
-def induced_quantale_hom(f: MorphismTable, *built: IdealLattice) -> LatticeHom:
+def induced_quantale_hom(f: MorphismTable) -> LatticeHom:
     """The action of a subadditive morphism on ideal quantales.
 
     Sends each ideal to the ideal generated by its image.  Computed as the
     join extension of the composite with the target's principal-ideal map,
-    and cross-checked against direct image generation.  ``built`` are ideal
-    quantales of the source or the target made already.
+    and cross-checked against direct image generation.
     """
     if not f.is_subadditive_morphism:
         raise NotSubadditive(
             f"{f.source.name} -> {f.target.name} lacks the subadditive-morphism flag"
         )
     A, B = f.source, f.target
-    source = analysis(A, *(L for L in built if L.owner == A))
-    target = analysis(B, *(L for L in built if L.owner == B))
-    source_iq, target_iq = source.ideals, target.ideals
+    target = analysis(B)
+    source_iq, target_iq = enumerate_ideals(A), target.ideals
     hom = extend_to_quantale_hom(
         compose(f, canonical_embedding(target)), target_iq.lattice, source_iq
     )

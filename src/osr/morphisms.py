@@ -39,13 +39,7 @@ class MorphismTable:
 
     @property
     def is_subadditive_morphism(self) -> bool:
-        return (
-            self.monotone
-            and self.zero_subzero
-            and self.unit_strict
-            and self.subadditive
-            and self.multiplicative
-        )
+        return self.subadditive_with_zero_mode(False)
 
     @property
     def is_homomorphism(self) -> bool:

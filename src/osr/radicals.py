@@ -62,7 +62,7 @@ def power_set(mul: Table, size: int, x: int) -> set[int]:
 
 def is_radical(A: FiniteOrderedSemiring, members) -> bool:
     """Does the ideal contain every element with a power inside it?"""
-    mask = as_mask(A, members)
+    mask = as_mask(members)
     return not any(A.powers[x] & mask for x in bits(A.full_mask & ~mask))
 
 
@@ -82,11 +82,10 @@ def radical_closure(A: FiniteOrderedSemiring, I: Ideal) -> Ideal:
             return Ideal(A, mask)
 
 
-def enumerate_radical_ideals(A: Source, *built: IdealLattice) -> IdealLattice:
+def enumerate_radical_ideals(A: Source) -> IdealLattice:
     """Filter the ideal quantale down to its radical ideals and verify the
-    frame laws exhaustively.  ``built`` are structures of A made already
-    (see ``analysis``)."""
-    an = analysis(A, *built)
+    frame laws exhaustively."""
+    an = analysis(A)
     A, iq = an.owner, an.ideals
     masks = [I.mask for I in iq.ideals if is_radical(A, I.mask)]
     index = {m: i for i, m in enumerate(masks)}
@@ -200,11 +199,9 @@ class RadicalSemiprimeReport:
     radical_count: int
 
 
-def check_radical_equals_semiprime(
-    A: Source, *built: IdealLattice
-) -> RadicalSemiprimeReport:
+def check_radical_equals_semiprime(A: Source) -> RadicalSemiprimeReport:
     """An ideal is radical exactly when it is semiprime in the ideal quantale."""
-    an = analysis(A, *built)
+    an = analysis(A)
     A, iq = an.owner, an.ideals
     semi = set(semiprime_elements(iq.lattice).members)
     for i, I in enumerate(iq.ideals):
@@ -218,25 +215,16 @@ def check_radical_equals_semiprime(
 
 
 def check_frame_universality(
-    A: Source,
-    F: FiniteLattice,
-    *built: IdealLattice,
-    strict_zero: bool = False,
+    A: Source, F: FiniteLattice, strict_zero: bool = False
 ) -> UniversalityReport:
     """Verify that composition with the radical principal-ideal map is a
     bijection from frame homomorphisms out of the radical frame onto
     subadditive morphisms into the frame's semiring."""
     if not F.is_distributive or not F.is_integral_quantale or F.mul != F.meet:
         raise NotIntegral(f"{F.name} is not a frame with meet as multiplication")
-    an = analysis(A, *built)
+    an = analysis(A)
     return check_universal_property(
-        an.owner,
-        source=an.radicals.lattice,
-        universal_values=an.radical_principal,
-        member_masks=tuple(I.mask for I in an.radicals.ideals),
-        target=F,
-        target_semiring=build_from_quantale(F),
-        strict_zero=strict_zero,
+        an.radicals, an.radical_principal, F, strict_zero
     )
 
 
@@ -277,11 +265,11 @@ def distributive_reflection(A: Source) -> ReflectionResult:
     the images generate the lattice, distributivity, and -- against every
     lattice of ``small_distributive_lattices`` -- that composition with the
     universal map is a bijection from lattice homomorphisms onto subadditive
-    morphisms.
+    morphisms (``check_frame_universality``, since the reflection is the
+    radical frame).
     """
     an = analysis(A)
-    A, rad, gen = an.owner, an.radicals, an.radical_principal
-    lattice = rad.lattice
+    A, lattice, gen = an.owner, an.radicals.lattice, an.radical_principal
 
     for x in range(A.n):
         for y in range(A.n):
@@ -319,27 +307,18 @@ def distributive_reflection(A: Source) -> ReflectionResult:
             f"{A.name}: generator images do not generate the reflection lattice"
         )
 
-    member_masks = tuple(I.mask for I in rad.ideals)
-    checked = 0
-    for D in small_distributive_lattices():
+    targets = small_distributive_lattices()
+    for D in targets:
         try:
-            check_universal_property(
-                A,
-                source=lattice,
-                universal_values=gen,
-                member_masks=member_masks,
-                target=D,
-                target_semiring=build_from_quantale(D),
-            )
+            check_frame_universality(an, D)
         except UniversalityFailure as exc:
             raise PresentationViolation(str(exc)) from exc
-        checked += 1
 
     return ReflectionResult(
         owner=A,
         lattice=lattice,
         universal_map=gen,
-        targets_checked=checked,
+        targets_checked=len(targets),
     )
 
 

@@ -23,6 +23,7 @@ from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
     bits,
+    bits_label,
     inclusion_order,
     lattice_from_order,
     subset_key,
@@ -36,7 +37,7 @@ from .errors import (
     IsoFailure,
     LemmaViolation,
 )
-from .ideals import Ideal, IdealLattice, principal_ideal
+from .ideals import Ideal, principal_ideal
 from .morphisms import enumerate_subadditive
 
 
@@ -116,11 +117,10 @@ def _is_prime_mask(A: FiniteOrderedSemiring, mask: int) -> bool:
     return all(not mask >> A.mul[x][y] & 1 for x in outside for y in outside)
 
 
-def enumerate_primes(A: Source, *built: IdealLattice) -> list[Ideal]:
+def enumerate_primes(A: Source) -> list[Ideal]:
     """All prime ideals, cross-checked against the morphisms into the
-    two-element chain via the kernel correspondence.  ``built`` are
-    structures of A made already (see ``analysis``)."""
-    an = analysis(A, *built)
+    two-element chain via the kernel correspondence."""
+    an = analysis(A)
     A = an.owner
     primes = [I for I in an.ideals.ideals if _is_prime_mask(A, I.mask)]
     kernels = sorted(
@@ -228,14 +228,13 @@ def check_degeneracy_equivalence(A: Source) -> DegeneracyReport:
     return conds
 
 
-def spectrum_space(A: Source, *built: IdealLattice) -> FiniteTopSpace:
+def spectrum_space(A: Source) -> FiniteTopSpace:
     """The space of prime ideals with basic opens D(x) = primes omitting x.
 
     Point order is canonical (by prime bitmask); the basis is closed under
     intersection because D(x) meets D(y) in D(xy), which is asserted.
-    ``built`` are structures of A made already (see ``analysis``).
     """
-    an = analysis(A, *built)
+    an = analysis(A)
     A, primes = an.owner, an.primes
     d = []
     for x in range(A.n):
@@ -287,7 +286,7 @@ def opens_frame(X: FiniteTopSpace) -> FiniteLattice:
     pos = {u: i for i, u in enumerate(opens)}
     meet = tuple(tuple(pos[opens[i] & opens[j]] for j in range(k)) for i in range(k))
     lattice = lattice_from_order(
-        labels=tuple("{" + ",".join(str(p) for p in bits(u)) + "}" for u in opens),
+        labels=tuple(bits_label(u) for u in opens),
         leq=inclusion_order(opens),
         mul=meet,
         unit=k - 1,
@@ -344,14 +343,9 @@ def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
         if sum(1 << backward[i] for i in bits(v)) not in pts.opens:
             raise HomeoFailure(f"{A.name}: preimage of a spectrum open is not open")
 
-    assert spec.basis is not None
+    assert spec.basis is not None and pts.basis is not None
     for x, r in enumerate(an.radical_principal):
-        u_r = sum(
-            1 << i
-            for i, m in enumerate(rad.lattice.meet_primes)
-            if not rad.lattice.le(r, m)
-        )
-        if push(u_r) != spec.basis[x][1]:
+        if push(pts.basis[r][1]) != spec.basis[x][1]:
             raise HomeoFailure(
                 f"{A.name}: D({A.labels[x]}) does not match the open of the "
                 f"radical principal ideal"

@@ -62,10 +62,10 @@ def test_criterion_01_golden_counts():
         iq6 = enumerate_ideals(z6)
         assert len(iq6.ideals) == 4
         assert [I.mask for I in iq6.ideals] == ideal_masks_bruteforce(z6)
-        rad6 = enumerate_radical_ideals(z6, iq6)
+        rad6 = enumerate_radical_ideals(z6)
         assert len(rad6.ideals) == 4
         assert [I.mask for I in rad6.ideals] == radical_masks_bruteforce(z6)
-        spec6 = spectrum_space(z6, iq6)
+        spec6 = spectrum_space(z6)
         assert spec6.n == 2
         assert len(spec6.opens) == 4  # discrete: all four point sets open
         budget["zmod6"] = time.perf_counter() - t
@@ -75,9 +75,9 @@ def test_criterion_01_golden_counts():
         iq4 = enumerate_ideals(z4)
         assert len(iq4.ideals) == 3
         assert [I.mask for I in iq4.ideals] == ideal_masks_bruteforce(z4)
-        rad4 = enumerate_radical_ideals(z4, iq4)
+        rad4 = enumerate_radical_ideals(z4)
         assert len(rad4.ideals) == 2
-        assert spectrum_space(z4, iq4).n == 1
+        assert spectrum_space(z4).n == 1
         sqrt0 = radical_closure(z4, generated_ideal(z4, 0))
         assert labels_of(z4, sqrt0.mask) == {"0", "2"}
         budget["zmod4"] = time.perf_counter() - t
@@ -128,7 +128,7 @@ def test_criterion_04_radical_equals_semiprime():
     with criterion(4, "radical = semiprime for every ideal, builtins of size <= 8"):
         for A in osr.builtin_family(8):
             iq = enumerate_ideals(A)
-            check_radical_equals_semiprime(A, iq)
+            check_radical_equals_semiprime(A)
             semi = semiprime_elements(iq.lattice).members
             assert [iq.ideals[m].mask for m in semi] == radical_masks_bruteforce(A)
 
@@ -217,7 +217,7 @@ def test_criterion_10_morphism_ideal_correspondences():
     ):
         for A in osr.builtin_family(8):
             iq = enumerate_ideals(A)
-            primes = enumerate_primes(A, iq)
+            primes = enumerate_primes(A)
             assert len(enumerate_subadditive(A, osr.two())) == len(primes)
             assert len(enumerate_sub_submul(A, osr.two())) == len(iq.ideals)
 

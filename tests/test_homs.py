@@ -1,10 +1,17 @@
-"""The quantale-hom enumeration against raw function search."""
+"""The quantale-hom enumeration against raw function search, and the
+universal-property check that both adjunctions and the reflection share."""
 
 from itertools import product
 
+import pytest
+
 import osr
+import osr.homs
+import osr.ideals
+from osr.errors import InternalMismatch, PresentationViolation, UniversalityFailure
 from osr.homs import enumerate_quantale_homs, is_quantale_hom
 from osr.ideals import enumerate_ideals
+from osr.report import CHECK_NAMES, run_checks
 
 
 def all_homs_bruteforce(L, Q):
@@ -88,3 +95,33 @@ def test_meet_primes_match_direct_definition():
             )
         ]
         assert sorted(L.meet_primes) == direct, L.name
+
+
+def test_universality_failure_path_is_shared(monkeypatch):
+    # one hom short: both adjunctions and the reflection run the same check
+    original = osr.homs.enumerate_quantale_homs
+    monkeypatch.setattr(
+        osr.homs, "enumerate_quantale_homs", lambda L, Q: original(L, Q)[:-1]
+    )
+    A = osr.build_zmod(6)
+    with pytest.raises(UniversalityFailure):
+        osr.check_quantale_universality(A, osr.chain_frame(2))
+    with pytest.raises(UniversalityFailure):
+        osr.check_frame_universality(A, osr.chain_frame(2))
+    with pytest.raises(PresentationViolation):
+        osr.distributive_reflection(A)
+
+    report = run_checks(A)
+    assert tuple(v.check for v in report.verdicts) == CHECK_NAMES
+    assert {v.check for v in report.verdicts if not v.passed} == {
+        "idl-universality",
+        "rad-universality",
+        "coherence-iso",
+        "dlat-presentation",
+    }
+
+    monkeypatch.setattr(osr.ideals, "is_quantale_hom", lambda L, Q, values: False)
+    Q = osr.chain_frame(2)
+    f = osr.classify(A, osr.build_from_quantale(Q), (0, 1, 0, 1, 0, 1))
+    with pytest.raises(InternalMismatch):
+        osr.extend_to_quantale_hom(f, Q, osr.enumerate_ideals(A))

@@ -157,12 +157,12 @@ def test_quantale_tables_verified(family8):
 def test_canonical_embedding():
     z6 = osr.build_zmod(6)
     iq = enumerate_ideals(z6)
-    emb = canonical_embedding(z6, iq)
+    emb = canonical_embedding(z6)
     assert emb.is_subadditive_morphism
     assert iq.ideals[emb.values[2]].label == "{0,2,4}"
     b = two()
     iqb = enumerate_ideals(b)
-    embb = canonical_embedding(b, iqb)
+    embb = canonical_embedding(b)
     assert embb.values[b.one] == iqb.unit
     chain3 = osr.build_chain_lattice(3)
     e3 = canonical_embedding(chain3)
@@ -178,7 +178,7 @@ def test_extend_to_quantale_hom():
     by_label = {iq.ideals[i].label: g.values[i] for i in range(len(iq.ideals))}
     assert by_label == {"{0}": 0, "{0,2}": 0, "{0,1,2,3}": 1}
 
-    emb = canonical_embedding(z4, iq)
+    emb = canonical_embedding(z4)
     ident = extend_to_quantale_hom(emb, iq.lattice, iq)
     assert ident.values == tuple(range(len(iq.ideals)))
 
@@ -245,12 +245,12 @@ def test_induced_quantale_hom():
     z6 = osr.build_zmod(6)
     iq = enumerate_ideals(z6)
     ident = classify(z6, z6, tuple(range(6)))
-    assert induced_quantale_hom(ident, iq, iq).values == tuple(range(len(iq.ideals)))
+    assert induced_quantale_hom(ident).values == tuple(range(len(iq.ideals)))
 
     b = two()
     f = classify(z6, b, tuple(0 if x in (0, 2, 4) else 1 for x in range(6)))
     iqb = enumerate_ideals(b)
-    hom = induced_quantale_hom(f, iq, iqb)
+    hom = induced_quantale_hom(f)
     by_label = {iq.ideals[i].label: iqb.ideals[hom.values[i]].label
                 for i in range(len(iq.ideals))}
     assert by_label["{0,2,4}"] == "{0}"

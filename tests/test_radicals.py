@@ -140,7 +140,7 @@ def test_frame_universality_against_own_radical_frame():
     # the identity corresponds to the universal arrow itself
     A = osr.build_zmod(6)
     rad = enumerate_radical_ideals(A)
-    report = check_frame_universality(A, rad.lattice, rad)
+    report = check_frame_universality(A, rad.lattice)
     assert report.hom_count == report.morphism_count
 
 
