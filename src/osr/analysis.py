@@ -1,9 +1,13 @@
 """The structures of one ordered semiring, each built once.
 
-An ``Analysis`` is made for one ``run_checks`` call or one CLI command.
-Nothing is kept per semiring, so a new analysis of the same semiring
-verifies everything again.  The constructors live in modules that build on
-this one, so each field imports its constructor when first read.
+An ``Analysis`` is made for one ``run_checks`` call or one CLI command.  It
+keeps what it derives from its semiring: the structures below, every ideal
+closure (``close``) and every universal-property result (``universality``),
+each with the failure its build raised, if any.  All of it dies with the
+analysis, so a new analysis of the same semiring verifies everything again.
+The only thing kept per process is the fixed stock of target lattices and
+their semirings, which does not depend on any instance.  The constructors
+live in modules that build on this one, so each is imported when first used.
 """
 
 from __future__ import annotations
@@ -15,33 +19,32 @@ from .core import FiniteOrderedSemiring
 from .errors import VerificationFailure
 
 if TYPE_CHECKING:
+    from .core import FiniteLattice
     from .ideals import Ideal, IdealLattice
     from .radicals import ReflectionResult
     from .spectrum import FiniteTopSpace
 
 
-class _structure:
-    """A field of an Analysis, built on first read.  A build that raises
-    VerificationFailure is not retried: each later read re-raises it."""
+def _kept(an: "Analysis", key, build):
+    """``an``'s value for ``key``, built on first use.  A build that raises
+    VerificationFailure is not retried: each later use re-raises it."""
+    built = an._built
+    if key not in built:
+        try:
+            built[key] = build()
+        except VerificationFailure as exc:
+            built[key] = exc
+    value = built[key]
+    if isinstance(value, VerificationFailure):
+        raise value
+    return value
 
-    def __init__(self, build) -> None:
-        self.build = build
-        self.name = build.__name__
-        self.__doc__ = build.__doc__
 
-    def __get__(self, an: "Analysis", owner=None):
-        if an is None:
-            return self
-        built = an._built
-        if self.name not in built:
-            try:
-                built[self.name] = self.build(an)
-            except VerificationFailure as exc:
-                built[self.name] = exc
-        value = built[self.name]
-        if isinstance(value, VerificationFailure):
-            raise value
-        return value
+def _structure(build) -> property:
+    """A field of an Analysis, built by ``build`` on first read."""
+    return property(
+        lambda an: _kept(an, build.__name__, lambda: build(an)), doc=build.__doc__
+    )
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,28 @@ class Analysis:
 
     owner: FiniteOrderedSemiring
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _closures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def close(self, mask: int) -> int:
+        """``ideals._close(owner, mask)``, computed once per mask."""
+        if mask not in self._closures:
+            from .ideals import _close
+
+            self._closures[mask] = _close(self.owner, mask)
+        return self._closures[mask]
+
+    def universality(self, kind: str, target: "FiniteLattice", strict_zero: bool):
+        """The universal property of the lattice ``kind`` ("ideals" or
+        "radicals") and its universal arrow against ``target``, checked once
+        per ``(kind, target, strict_zero)``; returns a UniversalityReport."""
+        from .homs import check_universal_property
+
+        def check():
+            L = getattr(self, kind)
+            arrow = self.principal if kind == "ideals" else self.radical_principal
+            return check_universal_property(L, arrow, target, strict_zero)
+
+        return _kept(self, (kind, target, strict_zero), check)
 
     @_structure
     def ideals(self) -> "IdealLattice":

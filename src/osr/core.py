@@ -387,6 +387,14 @@ class FiniteLattice:
         return out
 
     @cached_property
+    def semiring(self) -> FiniteOrderedSemiring:
+        """The ordered semiring this quantale induces, built and validated
+        once per lattice by ``builders.build_from_quantale``."""
+        from .builders import build_from_quantale
+
+        return build_from_quantale(self)
+
+    @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All pairs ``(i, j)`` with ``j`` covering ``i``."""
         return cover_pairs(self.leq)

@@ -90,12 +90,10 @@ class VerificationFailure(OsrError):
 
 
 class InternalMismatch(VerificationFailure):
-    """Two routes that must agree (formula vs. fixed point, etc.) differ."""
-
-
-class ForcedHomomorphismFailure(VerificationFailure):
-    """A subadditive morphism failed to be a homomorphism although one of
-    the sufficient conditions held."""
+    """Two things that must agree differ: two routes to one result
+    (formula vs. fixed point, two enumerations of one set), or what a
+    theorem asserts (a lemma, an equivalence, sobriety) and what the
+    instance shows."""
 
 
 class UniversalityFailure(VerificationFailure):
@@ -106,29 +104,6 @@ class PresentationViolation(VerificationFailure):
     """The distributive reflection violated a presentation relation."""
 
 
-class CrossCheckFailure(VerificationFailure):
-    """Two independent enumerations of the same set disagree."""
-
-
-class LemmaViolation(VerificationFailure):
-    """A maximal ideal failed to be prime."""
-
-
-class EquivalenceViolation(VerificationFailure):
-    """The degeneracy conditions did not agree with each other."""
-
-
-class CorrespondenceFailure(VerificationFailure):
-    """Prime ideals and prime quantale elements disagree."""
-
-
-class HomeoFailure(VerificationFailure):
-    """The canonical point bijection is not a homeomorphism."""
-
-
 class IsoFailure(VerificationFailure):
-    """An explicitly constructed isomorphism failed to verify."""
-
-
-class NotSober(VerificationFailure):
-    """A spectrum space failed the sobriety check."""
+    """An explicitly constructed isomorphism or homeomorphism failed to
+    verify."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .builders import build_from_quantale
 from .core import FiniteLattice, bits
 from .errors import InternalMismatch, NotAQuantale, UniversalityFailure
 from .morphisms import enumerate_subadditive
@@ -128,9 +127,7 @@ def check_universal_property(
     """
     A = L.owner
     homs = enumerate_quantale_homs(L.lattice, target)
-    morphisms = enumerate_subadditive(
-        A, build_from_quantale(target), strict_zero=strict_zero
-    )
+    morphisms = enumerate_subadditive(A, target.semiring, strict_zero=strict_zero)
     morphism_values = {m.values: m for m in morphisms}
 
     seen = set()

@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 from .analysis import Source, analysis
-from .builders import build_from_quantale
 from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
@@ -38,7 +37,6 @@ from .errors import (
 from .homs import (
     LatticeHom,
     UniversalityReport,
-    check_universal_property,
     is_quantale_hom,
     join_extension,
 )
@@ -206,13 +204,17 @@ def _products(A: FiniteOrderedSemiring, s_mask: int, t_mask: int) -> int:
     return out
 
 
-def check_product_of_generators(
-    A: FiniteOrderedSemiring, S: Members, T: Members
-) -> bool:
-    """Does <S> . <T> equal the ideal generated by the pairwise products?"""
+def check_product_of_generators(A: Source, S: Members, T: Members) -> bool:
+    """Does <S> . <T> equal the ideal generated by the pairwise products?
+
+    Every closure is read through the analysis, so a run over many pairs
+    closes each distinct subset once.
+    """
+    an = analysis(A)
+    A, close = an.owner, an.close
     s_mask, t_mask = as_mask(S), as_mask(T)
-    lhs = ideal_product(A, generated_ideal(A, s_mask), generated_ideal(A, t_mask))
-    return lhs.mask == _close(A, _products(A, s_mask, t_mask))
+    lhs = close(_products(A, close(s_mask), close(t_mask)))
+    return lhs == close(_products(A, s_mask, t_mask))
 
 
 def enumerate_ideals_bruteforce(A: FiniteOrderedSemiring) -> list[int]:
@@ -357,7 +359,7 @@ def canonical_embedding(A: Source) -> MorphismTable:
     """
     an = analysis(A)
     A, iq, values = an.owner, an.ideals, an.principal
-    table = classify(A, build_from_quantale(iq.lattice), values)
+    table = classify(A, iq.lattice.semiring, values)
     if not table.is_subadditive_morphism:
         raise InternalMismatch(
             f"principal-ideal map of {A.name} is not a subadditive morphism"
@@ -397,7 +399,7 @@ def extend_to_quantale_hom(
         )
     if not Q.is_integral_quantale:
         raise NotIntegral(f"{Q.name} is not an integral quantale")
-    if not _same_tables(f.target, build_from_quantale(Q)):
+    if not _same_tables(f.target, Q.semiring):
         raise OwnerMismatch(
             f"morphism target {f.target.name} is not the semiring induced by {Q.name}"
         )
@@ -425,8 +427,7 @@ def check_quantale_universality(
     morphisms out of A."""
     if not Q.is_integral_quantale:
         raise NotIntegral(f"{Q.name} is not an integral quantale")
-    an = analysis(A)
-    return check_universal_property(an.ideals, an.principal, Q, strict_zero)
+    return analysis(A).universality("ideals", Q, strict_zero)
 
 
 def induced_quantale_hom(f: MorphismTable) -> LatticeHom:

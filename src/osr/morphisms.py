@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteOrderedSemiring, bits
-from .errors import EndpointMismatch, ForcedHomomorphismFailure, InternalMismatch
+from .errors import EndpointMismatch, InternalMismatch
 from .search import forward_search
 
 
@@ -239,7 +239,7 @@ def check_homomorphism_criteria(
     least element and B's addition is the join of its order (idempotent,
     with x <= y exactly when x + y = y).  When either holds, every
     enumerated subadditive morphism A -> B must carry the homomorphism
-    flag; a counterexample raises ForcedHomomorphismFailure.
+    flag; a counterexample raises InternalMismatch.
     """
     cond1 = B.is_discrete
     zero_least = all(A.le(A.zero, x) for x in range(A.n))
@@ -253,7 +253,7 @@ def check_homomorphism_criteria(
         for table in enumerate_subadditive(A, B):
             checked += 1
             if not table.is_homomorphism:
-                raise ForcedHomomorphismFailure(
+                raise InternalMismatch(
                     f"subadditive morphism {list(table.values)} from {A.name} "
                     f"to {B.name} is not a homomorphism"
                 )

@@ -16,9 +16,9 @@ equivalence exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .analysis import Source, analysis
-from .builders import build_from_quantale
 from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
@@ -34,7 +34,7 @@ from .errors import (
     PresentationViolation,
     UniversalityFailure,
 )
-from .homs import UniversalityReport, check_universal_property
+from .homs import UniversalityReport
 from .ideals import (
     Ideal,
     IdealLattice,
@@ -222,10 +222,7 @@ def check_frame_universality(
     subadditive morphisms into the frame's semiring."""
     if not F.is_distributive or not F.is_integral_quantale or F.mul != F.meet:
         raise NotIntegral(f"{F.name} is not a frame with meet as multiplication")
-    an = analysis(A)
-    return check_universal_property(
-        an.radicals, an.radical_principal, F, strict_zero
-    )
+    return analysis(A).universality("radicals", F, strict_zero)
 
 
 @dataclass(frozen=True)
@@ -244,18 +241,21 @@ class ReflectionResult:
     targets_checked: int
 
 
-def small_distributive_lattices() -> list[FiniteLattice]:
-    """The stock of reflection test targets: every shape up to six elements
-    that the universal-property check exercises."""
+@cache
+def small_distributive_lattices() -> tuple[FiniteLattice, ...]:
+    """The reflection's test targets, built on first use: the chains with
+    1, 2 and 3 elements, the four-element Boolean lattice ("diamond") and
+    the product of the 2- and 3-element chains ("grid2x3"): five of the 13
+    distributive lattices with at most six elements."""
     from .builders import chain_frame, diamond_frame, downset_frame
 
-    return [
+    return (
         chain_frame(1),
         chain_frame(2),
         chain_frame(3),
         diamond_frame(),
         downset_frame(3, [(0, 1)], name="grid2x3"),
-    ]
+    )
 
 
 def distributive_reflection(A: Source) -> ReflectionResult:
@@ -344,7 +344,7 @@ def check_coherence(A: Source) -> CoherenceReport:
     """
     an = analysis(A)
     A, L = an.owner, an.reflection.lattice
-    iq = enumerate_ideals(build_from_quantale(L))
+    iq = enumerate_ideals(L.semiring)
     if len(iq.ideals) != L.n:
         raise IsoFailure(
             f"{A.name}: reflection has {L.n} elements but {len(iq.ideals)} ideals"

@@ -18,12 +18,13 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 from .analysis import Analysis
 from .builders import chain_frame, diamond_frame, build_zmod
-from .core import FiniteOrderedSemiring
-from .errors import InternalMismatch, NotSober, VerificationFailure
+from .core import FiniteLattice, FiniteOrderedSemiring
+from .errors import InternalMismatch, VerificationFailure
 from .ideals import (
     check_product_of_generators,
     check_quantale_universality,
@@ -117,18 +118,18 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-def quantale_targets():
-    """The fixed target family for the ideal-quantale universality verdict."""
-    return [
-        chain_frame(2),
-        chain_frame(3),
-        enumerate_ideals(build_zmod(4)).lattice,
-    ]
+@cache
+def quantale_targets() -> tuple[FiniteLattice, ...]:
+    """The fixed target family for the ideal-quantale universality verdict,
+    built on first use."""
+    return (chain_frame(2), chain_frame(3), enumerate_ideals(build_zmod(4)).lattice)
 
 
-def frame_targets():
-    """The fixed target family for the radical-frame universality verdict."""
-    return [chain_frame(2), chain_frame(3), diamond_frame()]
+@cache
+def frame_targets() -> tuple[FiniteLattice, ...]:
+    """The fixed target family for the radical-frame universality verdict,
+    built on first use."""
+    return (chain_frame(2), chain_frame(3), diamond_frame())
 
 
 def _subset_samples(A: FiniteOrderedSemiring, count: int, how_many_sets: int):
@@ -201,7 +202,7 @@ def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
 
     def product_of_generators() -> None:
         for s, t in _subset_samples(A, SAMPLES, 2):
-            if not check_product_of_generators(A, s, t):
+            if not check_product_of_generators(an, s, t):
                 raise InternalMismatch(
                     f"{A.name}: <S><T> != <ST> at S={A.set_label(s)}, "
                     f"T={A.set_label(t)}"
@@ -210,7 +211,7 @@ def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
     def sobriety() -> None:
         result = check_sober(an.spectrum)
         if not result.sober:
-            raise NotSober(f"{A.name}: {result.witness}")
+            raise InternalMismatch(f"{A.name}: {result.witness}")
 
     t0 = time.perf_counter()
     # the ideal-quantale laws are verified inside enumerate_ideals, so the

@@ -28,15 +28,7 @@ from .core import (
     lattice_from_order,
     subset_key,
 )
-from .errors import (
-    CorrespondenceFailure,
-    CrossCheckFailure,
-    EquivalenceViolation,
-    HomeoFailure,
-    InternalMismatch,
-    IsoFailure,
-    LemmaViolation,
-)
+from .errors import InternalMismatch, IsoFailure
 from .ideals import Ideal, principal_ideal
 from .morphisms import enumerate_subadditive
 
@@ -127,7 +119,7 @@ def enumerate_primes(A: Source) -> list[Ideal]:
         (f.kernel_mask() for f in enumerate_subadditive(A, two())), key=subset_key
     )
     if kernels != [I.mask for I in primes]:
-        raise CrossCheckFailure(
+        raise InternalMismatch(
             f"{A.name}: prime ideals and two-valued subadditive morphisms disagree"
         )
     return primes
@@ -174,7 +166,7 @@ def check_maximal_implies_prime(A: Source) -> MaximalPrimeReport:
                 if not I.mask >> y & 1
                 if I.mask >> A.mul[x][y] & 1
             )
-            raise LemmaViolation(
+            raise InternalMismatch(
                 f"{A.name}: maximal ideal {I.label} is not prime; product of "
                 f"{A.labels[witness[0]]} and {A.labels[witness[1]]} falls inside"
             )
@@ -215,14 +207,14 @@ def check_degeneracy_equivalence(A: Source) -> DegeneracyReport:
     )
     flags = (conds.all_below_zero, conds.one_below_zero, conds.no_primes, conds.no_maximal)
     if len(set(flags)) != 1:
-        raise EquivalenceViolation(
+        raise InternalMismatch(
             f"{A.name}: degeneracy conditions disagree: everything-below-zero="
             f"{flags[0]}, one-below-zero={flags[1]}, no-primes={flags[2]}, "
             f"no-maximal={flags[3]}"
         )
     zero_ideal_is_all = principal_ideal(A, A.zero).mask == A.full_mask
     if zero_ideal_is_all != conds.all_below_zero:
-        raise EquivalenceViolation(
+        raise InternalMismatch(
             f"{A.name}: zero ideal covers the carrier iff everything is below zero"
         )
     return conds
@@ -324,7 +316,7 @@ def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
     prime_masks = [rad.ideals[m].mask for m in rad.lattice.meet_primes]
     spec_masks = [P.mask for P in an.primes]
     if sorted(prime_masks) != sorted(spec_masks):
-        raise HomeoFailure(
+        raise IsoFailure(
             f"{A.name}: meet-prime radical ideals differ from prime ideals"
         )
     forward = tuple(spec_masks.index(m) for m in prime_masks)
@@ -337,16 +329,16 @@ def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
     for u in sorted(pts.opens, key=subset_key):
         image = push(u)
         if image not in spec.opens:
-            raise HomeoFailure(f"{A.name}: image of a point-space open is not open")
+            raise IsoFailure(f"{A.name}: image of a point-space open is not open")
         open_map.append((u, image))
     for v in spec.opens:
         if sum(1 << backward[i] for i in bits(v)) not in pts.opens:
-            raise HomeoFailure(f"{A.name}: preimage of a spectrum open is not open")
+            raise IsoFailure(f"{A.name}: preimage of a spectrum open is not open")
 
     assert spec.basis is not None and pts.basis is not None
     for x, r in enumerate(an.radical_principal):
         if push(pts.basis[r][1]) != spec.basis[x][1]:
-            raise HomeoFailure(
+            raise IsoFailure(
                 f"{A.name}: D({A.labels[x]}) does not match the open of the "
                 f"radical principal ideal"
             )
@@ -425,7 +417,7 @@ def check_prime_element_correspondence(A: Source) -> PrimeElementReport:
             if L.le(L.mul[j][m], i)
         )
         if as_ideal != as_element:
-            raise CorrespondenceFailure(
+            raise InternalMismatch(
                 f"{A.name}: {I.label} is prime as an ideal but not as a quantale "
                 f"element (or conversely)"
             )

@@ -1,14 +1,37 @@
-"""The per-instance analysis: each structure built once, and a structure
-that fails to build turns into failed verdicts instead of an aborted report."""
+"""The per-instance analysis: each structure, closure and universality pair
+built once, nothing derived from an instance kept past its analysis, and a
+structure that fails to build turns into failed verdicts instead of an
+aborted report."""
 
+import gc
 import json
 import sys
+import weakref
 from collections import Counter
 
 import osr
+import osr.homs
+import osr.ideals
 import osr.spectrum
+from osr.analysis import Analysis
 from osr.cli import main
-from osr.report import CHECK_NAMES, run_checks
+from osr.core import popcount
+from osr.ideals import (
+    _close,
+    _products,
+    check_product_of_generators,
+    generated_ideal,
+    ideal_product,
+)
+from osr.radicals import small_distributive_lattices
+from osr.report import (
+    CHECK_NAMES,
+    SAMPLES,
+    _subset_samples,
+    frame_targets,
+    quantale_targets,
+    run_checks,
+)
 
 CONSTRUCTORS = (
     ("osr.ideals", "enumerate_ideals"),
@@ -64,3 +87,104 @@ def test_structure_failure_becomes_failed_verdicts(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [v["check"] for v in payload["verdicts"]] == list(CHECK_NAMES)
     assert payload["counts"]["primes"] is None
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls to ``module.name`` made through the module."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_universality_pair_is_checked_once(monkeypatch):
+    calls = _counting(monkeypatch, osr.homs, "check_universal_property")
+    assert run_checks(osr.build_zmod(6)).all_passed
+    # 3 quantale targets, 3 frame targets, and the reflection's chain1 and
+    # grid2x3; its chain2, chain3 and diamond are rad-universality's
+    pairs = [(L.kind, target.name) for L, _, target, _ in calls]
+    assert len(pairs) == len(set(pairs)) == 8
+
+
+def test_second_run_recomputes_everything(monkeypatch):
+    A = osr.build_zmod(6)
+    closes = _counting(monkeypatch, osr.ideals, "_close")
+    homs = _counting(monkeypatch, osr.homs, "enumerate_quantale_homs")
+    counts = []
+    for _ in range(2):
+        before = len(closes), len(homs)
+        assert run_checks(A).all_passed
+        counts.append((len(closes) - before[0], len(homs) - before[1]))
+    assert counts[0] == counts[1]
+    assert min(counts[0]) > 0
+
+
+def test_instance_structures_die_with_their_analysis():
+    an = Analysis(osr.build_zmod(6))
+    check_product_of_generators(an, 0b10, 0b100)
+    for Q in quantale_targets():
+        osr.check_quantale_universality(an, Q)
+    osr.check_coherence(an)
+    refs = [weakref.ref(x) for x in (an, an.ideals.lattice, an.reflection.lattice)]
+    refs.append(weakref.ref(an.reflection.lattice.semiring))
+    del an
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_target_stock_is_built_once_and_matches_a_fresh_build():
+    for stock in (quantale_targets, frame_targets, small_distributive_lattices):
+        first = stock()
+        assert isinstance(first, tuple)
+        assert stock() is first
+        assert first == stock.__wrapped__()
+        for L in first:
+            assert L.semiring is L.semiring
+            assert L.semiring == osr.build_from_quantale(L)
+
+
+def test_memoized_product_check_matches_direct_closures(monkeypatch):
+    closes = _counting(monkeypatch, osr.ideals, "_close")
+    for A in osr.builtin_family(4):
+        pairs = [(s, t) for s in range(1 << A.n) for t in range(1 << A.n)]
+        an = Analysis(A)
+        before = len(closes)
+        memoized = [check_product_of_generators(an, s, t) for s, t in pairs]
+        # the memo is filled by _close alone, once per distinct mask
+        assert len(closes) - before == len(an._closures)
+        assert an._closures == {m: _close(A, m) for m in an._closures}
+        for (s, t), got in zip(pairs, memoized):
+            direct = ideal_product(
+                A, generated_ideal(A, s), generated_ideal(A, t)
+            ).mask == generated_ideal(A, _products(A, s, t)).mask
+            assert got == check_product_of_generators(A, s, t) == direct
+
+
+def test_product_memo_does_not_hide_a_fault(monkeypatch):
+    A = osr.build_zmod(4)
+
+    def drop_one_bit(A, s, t):
+        out = _products(A, s, t)
+        # only generator pairs: ideal products, and with them the ideal
+        # quantale, keep their values
+        if popcount(s) == popcount(t) == 1:
+            out &= ~(1 << (out.bit_length() - 1))
+        return out
+
+    monkeypatch.setattr(osr.ideals, "_products", drop_one_bit)
+
+    def fails(s, t):
+        lhs = drop_one_bit(A, _close(A, s), _close(A, t))
+        return _close(A, lhs) != _close(A, drop_one_bit(A, s, t))
+
+    s, t = next(p for p in _subset_samples(A, SAMPLES, 2) if fails(*p))
+    failed = {v.check: v.witness for v in run_checks(A).verdicts if not v.passed}
+    assert failed == {
+        "product-of-generators": f"{A.name}: <S><T> != <ST> at "
+        f"S={A.set_label(s)}, T={A.set_label(t)}"
+    }
