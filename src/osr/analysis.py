@@ -2,12 +2,14 @@
 
 An ``Analysis`` is made for one ``run_checks`` call or one CLI command.  It
 keeps what it derives from its semiring: the structures below, every ideal
-closure (``close``) and every universal-property result (``universality``),
-each with the failure its build raised, if any.  All of it dies with the
-analysis, so a new analysis of the same semiring verifies everything again.
-The only thing kept per process is the fixed stock of target lattices and
-their semirings, which does not depend on any instance.  The constructors
-live in modules that build on this one, so each is imported when first used.
+closure (``close``), every universal-property result (``universality``) and
+the subadditive morphisms those results compare against, one list per target
+semiring and zero-axiom variant, each with the failure its build raised, if
+any.  All of it dies with the analysis, so a new analysis of the same
+semiring verifies everything again.  The only thing kept per process is the
+fixed stock of target lattices, their semirings and ``two()``, none of which
+depends on any instance.  The constructors live in modules that build on
+this one, so each is imported when first used.
 """
 
 from __future__ import annotations
@@ -67,13 +69,22 @@ class Analysis:
     def universality(self, kind: str, target: "FiniteLattice", strict_zero: bool):
         """The universal property of the lattice ``kind`` ("ideals" or
         "radicals") and its universal arrow against ``target``, checked once
-        per ``(kind, target, strict_zero)``; returns a UniversalityReport."""
+        per ``(kind, target, strict_zero)``; returns a UniversalityReport.
+        Both kinds compare against one list of subadditive morphisms into
+        ``target.semiring``, searched once per ``strict_zero``."""
         from .homs import check_universal_property
+        from .morphisms import enumerate_subadditive
 
         def check():
             L = getattr(self, kind)
             arrow = self.principal if kind == "ideals" else self.radical_principal
-            return check_universal_property(L, arrow, target, strict_zero)
+            B = target.semiring
+            morphisms = _kept(
+                self,
+                (B, strict_zero),
+                lambda: enumerate_subadditive(self.owner, B, strict_zero),
+            )
+            return check_universal_property(L, arrow, target, morphisms)
 
         return _kept(self, (kind, target, strict_zero), check)
 

@@ -8,6 +8,8 @@ identical tables.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import cache
 from typing import Iterable, Sequence
 
 from .core import (
@@ -74,8 +76,10 @@ def build_chain_lattice(k: int) -> FiniteOrderedSemiring:
     )
 
 
+@cache
 def two() -> FiniteOrderedSemiring:
-    """The two-element chain semiring (bottom = 0, top = 1)."""
+    """The two-element chain semiring (bottom = 0, top = 1), the classifier
+    of prime ideals, built and validated once per process."""
     return build_chain_lattice(2)
 
 
@@ -254,18 +258,7 @@ def build_from_quantale(Q: FiniteLattice) -> FiniteOrderedSemiring:
 
 def discretize(A: FiniteOrderedSemiring) -> FiniteOrderedSemiring:
     """Same tables, identity order.  Monotonicity becomes vacuous."""
-    desc = A.describe()
-    return validate(
-        RawSemiringDescription(
-            name=f"{A.name}.discrete",
-            elements=desc.elements,
-            le="discrete",
-            zero=desc.zero,
-            one=desc.one,
-            add_table=desc.add_table,
-            mul_table=desc.mul_table,
-        )
-    )
+    return validate(replace(A.describe(), name=f"{A.name}.discrete", le="discrete"))
 
 
 def order_dual(A: FiniteOrderedSemiring) -> FiniteOrderedSemiring:
@@ -274,22 +267,9 @@ def order_dual(A: FiniteOrderedSemiring) -> FiniteOrderedSemiring:
     The dual of an ordered semiring is an ordered semiring; duals of
     join-induced semirings satisfy ``1 <= 0`` and so have empty spectra.
     """
-    lab = A.labels
-    pairs = tuple(
-        (lab[j], lab[i]) for i in range(A.n) for j in bits(A.leq[i]) if i != j
-    )
     desc = A.describe()
-    return validate(
-        RawSemiringDescription(
-            name=f"{A.name}.dual",
-            elements=lab,
-            le=pairs if pairs else "discrete",
-            zero=desc.zero,
-            one=desc.one,
-            add_table=desc.add_table,
-            mul_table=desc.mul_table,
-        )
-    )
+    le = desc.le if desc.le == "discrete" else tuple((b, a) for a, b in desc.le)
+    return validate(replace(desc, name=f"{A.name}.dual", le=le))
 
 
 def build_dual_chain(k: int) -> FiniteOrderedSemiring:

@@ -6,7 +6,8 @@ thing at finite scale once meet is treated as the multiplication and top as
 the unit, so one enumerator covers every universality check in the package,
 and one ``check_universal_property`` serves both adjunctions (the ideal
 quantale and the radical frame as left adjoints) and the distributive
-reflection: each passes its lattice of ideals and its universal arrow.
+reflection: each passes its lattice of ideals, its universal arrow and the
+subadditive morphisms to compare against, which the caller enumerates.
 
 Enumeration runs the same forward-checking engine as the morphism search
 (``search.forward_search``) over every element of the source, testing each
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .core import FiniteLattice, bits
 from .errors import InternalMismatch, NotAQuantale, UniversalityFailure
-from .morphisms import enumerate_subadditive
+from .morphisms import MorphismTable
 from .search import forward_search
 
 if TYPE_CHECKING:
@@ -93,7 +94,6 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeH
 class UniversalityReport:
     """Both sides of a verified universal-property bijection."""
 
-    instance: str
     target: str
     morphism_count: int
     hom_count: int
@@ -113,21 +113,21 @@ def check_universal_property(
     L: IdealLattice,
     universal_values: tuple[int, ...],
     target: FiniteLattice,
-    strict_zero: bool = False,
+    morphisms: list[MorphismTable],
 ) -> UniversalityReport:
     """Verify that composition with the universal arrow is a bijection.
 
     ``L`` is the lattice of ideals constructed over its owner A (the ideal
     quantale or the radical frame) and ``universal_values`` the universal
-    subadditive morphism A -> L (as indices into ``L``).  The bijection
-    checked is  g |-> g . universal  from quantale homomorphisms
-    L -> target onto subadditive morphisms from A into the semiring of
-    ``target``, with the join extension (``join_extension``) as its
+    subadditive morphism A -> L (as indices into ``L``).  The caller passes
+    ``morphisms``, every subadditive morphism from A into the semiring of
+    ``target``; it is read, never changed.  The bijection checked is
+    g |-> g . universal  from quantale homomorphisms L -> target onto
+    ``morphisms``, with the join extension (``join_extension``) as its
     inverse.  Raises UniversalityFailure with a witness on any failure.
     """
     A = L.owner
     homs = enumerate_quantale_homs(L.lattice, target)
-    morphisms = enumerate_subadditive(A, target.semiring, strict_zero=strict_zero)
     morphism_values = {m.values: m for m in morphisms}
 
     seen = set()
@@ -166,7 +166,6 @@ def check_universal_property(
             f"morphisms into {target.name}"
         )
     return UniversalityReport(
-        instance=A.name,
         target=target.name,
         morphism_count=len(morphisms),
         hom_count=len(homs),

@@ -30,6 +30,8 @@ from .core import (
 )
 from .errors import (
     InternalMismatch,
+    NotALattice,
+    NotAQuantale,
     NotIntegral,
     NotSubadditive,
     OwnerMismatch,
@@ -250,16 +252,6 @@ class IdealLattice:
                 f"{self.owner.set_label(mask)} is not in {self.lattice.name}"
             ) from None
 
-    @property
-    def bottom(self) -> int:
-        return self.lattice.bottom
-
-    @property
-    def unit(self) -> int:
-        u = self.lattice.unit
-        assert u is not None
-        return u
-
     def __len__(self) -> int:
         return len(self.ideals)
 
@@ -277,16 +269,20 @@ def ideal_lattice(
     """The ideals ``masks`` of A (canonical order, whole carrier last) under
     containment, with ``mul`` as multiplication and the whole carrier as
     unit.  Meets are verified to be intersections and joins to be ``close``
-    of unions."""
+    of unions.  Tables that are not a lattice or ``mul`` that is not a
+    quantale multiplication raise InternalMismatch: ideals always form one."""
     k = len(masks)
     name = f"{kind}({A.name})"
-    lattice = lattice_from_order(
-        labels=tuple(A.set_label(m) for m in masks),
-        leq=inclusion_order(masks),
-        mul=mul,
-        unit=k - 1,
-        name=name,
-    )
+    try:
+        lattice = lattice_from_order(
+            labels=tuple(A.set_label(m) for m in masks),
+            leq=inclusion_order(masks),
+            mul=mul,
+            unit=k - 1,
+            name=name,
+        )
+    except (NotALattice, NotAQuantale) as exc:
+        raise InternalMismatch(f"{name}: {exc}") from exc
 
     def pair(i: int, j: int) -> str:
         return f"{A.set_label(masks[i])} and {A.set_label(masks[j])} in {name}"
@@ -364,7 +360,7 @@ def canonical_embedding(A: Source) -> MorphismTable:
         raise InternalMismatch(
             f"principal-ideal map of {A.name} is not a subadditive morphism"
         )
-    if values[A.zero] != iq.bottom:
+    if values[A.zero] != iq.lattice.bottom:
         raise InternalMismatch(
             f"principal ideal of zero in {A.name} is not the least ideal"
         )

@@ -104,8 +104,8 @@ def enumerate_radical_ideals(A: Source) -> IdealLattice:
     )
     if not rad.lattice.is_distributive:
         raise InternalMismatch(f"radical ideals of {A.name} do not form a frame")
-    bottom = radical_closure(A, iq.ideals[iq.bottom])
-    if masks[rad.bottom] != bottom.mask:
+    bottom = radical_closure(A, iq.ideals[iq.lattice.bottom])
+    if masks[rad.lattice.bottom] != bottom.mask:
         raise InternalMismatch(
             f"least radical ideal of {A.name} is not the radical of the zero ideal"
         )
@@ -194,7 +194,6 @@ def semiprime_elements(Q: FiniteLattice) -> SemiprimeReflection:
 class RadicalSemiprimeReport:
     """Outcome of the radical-ideal / semiprime-element comparison."""
 
-    instance: str
     ideal_count: int
     radical_count: int
 
@@ -209,9 +208,7 @@ def check_radical_equals_semiprime(A: Source) -> RadicalSemiprimeReport:
             raise InternalMismatch(
                 f"ideal {I.label} of {A.name}: radical and semiprime disagree"
             )
-    return RadicalSemiprimeReport(
-        instance=A.name, ideal_count=len(iq.ideals), radical_count=len(semi)
-    )
+    return RadicalSemiprimeReport(ideal_count=len(iq.ideals), radical_count=len(semi))
 
 
 def check_frame_universality(
@@ -326,7 +323,6 @@ def distributive_reflection(A: Source) -> ReflectionResult:
 class CoherenceReport:
     """Witness that the radical frame is the ideal frame of the reflection."""
 
-    instance: str
     radical_count: int
     reflection_ideal_count: int
 
@@ -360,8 +356,4 @@ def check_coherence(A: Source) -> CoherenceReport:
                 raise IsoFailure(f"{A.name}: downset map does not preserve joins")
             if forward[L.meet[r][s]] != iq.lattice.meet[forward[r]][forward[s]]:
                 raise IsoFailure(f"{A.name}: downset map does not preserve meets")
-    return CoherenceReport(
-        instance=A.name,
-        radical_count=L.n,
-        reflection_ideal_count=len(iq.ideals),
-    )
+    return CoherenceReport(radical_count=L.n, reflection_ideal_count=len(iq.ideals))

@@ -144,7 +144,6 @@ def enumerate_maximal(A: Source) -> list[Ideal]:
 
 @dataclass(frozen=True)
 class MaximalPrimeReport:
-    instance: str
     maximal_count: int
     prime_count: int
     has_prime_non_maximal: bool
@@ -171,7 +170,6 @@ def check_maximal_implies_prime(A: Source) -> MaximalPrimeReport:
                 f"{A.labels[witness[0]]} and {A.labels[witness[1]]} falls inside"
             )
     return MaximalPrimeReport(
-        instance=A.name,
         maximal_count=len(maximal),
         prime_count=len(primes),
         has_prime_non_maximal=bool(primes - {I.mask for I in maximal}),
@@ -182,7 +180,6 @@ def check_maximal_implies_prime(A: Source) -> MaximalPrimeReport:
 class DegeneracyReport:
     """The four equivalent ways for a spectrum to be empty."""
 
-    instance: str
     all_below_zero: bool
     one_below_zero: bool
     no_primes: bool
@@ -199,7 +196,6 @@ def check_degeneracy_equivalence(A: Source) -> DegeneracyReport:
     an = analysis(A)
     A = an.owner
     conds = DegeneracyReport(
-        instance=A.name,
         all_below_zero=all(A.le(x, A.zero) for x in range(A.n)),
         one_below_zero=A.le(A.one, A.zero),
         no_primes=not an.primes,
@@ -299,7 +295,6 @@ class SpaceIso:
 
     forward: tuple[int, ...]
     backward: tuple[int, ...]
-    open_map: tuple[tuple[int, int], ...]  # (source open, image open) masks
 
 
 def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
@@ -325,12 +320,9 @@ def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
     def push(mask: int) -> int:
         return sum(1 << forward[i] for i in bits(mask))
 
-    open_map = []
-    for u in sorted(pts.opens, key=subset_key):
-        image = push(u)
-        if image not in spec.opens:
+    for u in pts.opens:
+        if push(u) not in spec.opens:
             raise IsoFailure(f"{A.name}: image of a point-space open is not open")
-        open_map.append((u, image))
     for v in spec.opens:
         if sum(1 << backward[i] for i in bits(v)) not in pts.opens:
             raise IsoFailure(f"{A.name}: preimage of a spectrum open is not open")
@@ -342,12 +334,11 @@ def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
                 f"{A.name}: D({A.labels[x]}) does not match the open of the "
                 f"radical principal ideal"
             )
-    return SpaceIso(forward=forward, backward=backward, open_map=tuple(open_map))
+    return SpaceIso(forward=forward, backward=backward)
 
 
 @dataclass(frozen=True)
 class RadicalOpensReport:
-    instance: str
     radical_count: int
     open_count: int
 
@@ -389,14 +380,11 @@ def check_radical_opens_iso(A: Source) -> RadicalOpensReport:
             raise IsoFailure(
                 f"{A.name}: radical of <{A.labels[x]}> does not map to D({A.labels[x]})"
             )
-    return RadicalOpensReport(
-        instance=A.name, radical_count=k, open_count=O.n
-    )
+    return RadicalOpensReport(radical_count=k, open_count=O.n)
 
 
 @dataclass(frozen=True)
 class PrimeElementReport:
-    instance: str
     prime_count: int
 
 
@@ -410,7 +398,7 @@ def check_prime_element_correspondence(A: Source) -> PrimeElementReport:
     count = 0
     for i, I in enumerate(iq.ideals):
         as_ideal = _is_prime_mask(A, I.mask)
-        as_element = i != iq.unit and all(
+        as_element = i != L.unit and all(
             L.le(j, i) or L.le(m, i)
             for j in range(L.n)
             for m in range(L.n)
@@ -422,12 +410,11 @@ def check_prime_element_correspondence(A: Source) -> PrimeElementReport:
                 f"element (or conversely)"
             )
         count += as_ideal
-    return PrimeElementReport(instance=A.name, prime_count=count)
+    return PrimeElementReport(prime_count=count)
 
 
 @dataclass(frozen=True)
 class SoberReport:
-    instance: str
     t0: bool
     sober: bool
     witness: Optional[str] = None
@@ -443,7 +430,6 @@ def check_sober(X: FiniteTopSpace) -> SoberReport:
         for y in range(x + 1, X.n):
             if not any(bool(u >> x & 1) != bool(u >> y & 1) for u in X.opens):
                 return SoberReport(
-                    instance=X.name,
                     t0=False,
                     sober=False,
                     witness=f"points {X.point_labels[x]} and {X.point_labels[y]} "
@@ -462,9 +448,8 @@ def check_sober(X: FiniteTopSpace) -> SoberReport:
         generic = [x for x in bits(c) if X.closure_of(1 << x) == c]
         if len(generic) != 1:
             return SoberReport(
-                instance=X.name,
                 t0=True,
                 sober=False,
                 witness=f"irreducible closed set with {len(generic)} generic points",
             )
-    return SoberReport(instance=X.name, t0=True, sober=True)
+    return SoberReport(t0=True, sober=True)

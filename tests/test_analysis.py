@@ -4,16 +4,20 @@ structure that fails to build turns into failed verdicts instead of an
 aborted report."""
 
 import gc
+import hashlib
 import json
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import osr
 import osr.homs
 import osr.ideals
+import osr.morphisms
 import osr.spectrum
 from osr.analysis import Analysis
+from osr.builders import from_builder_spec
 from osr.cli import main
 from osr.core import popcount
 from osr.ideals import (
@@ -89,6 +93,27 @@ def test_structure_failure_becomes_failed_verdicts(monkeypatch, capsys):
     assert payload["counts"]["primes"] is None
 
 
+def test_broken_ideal_quantale_becomes_failed_verdicts(monkeypatch, capsys):
+    def drop_top_bit(A, s, t):
+        out = _products(A, s, t)
+        return out & ~(1 << (out.bit_length() - 1)) if out else out
+
+    # ideal products lose an element: the ideal tables are no quantale
+    monkeypatch.setattr(osr.ideals, "_products", drop_top_bit)
+
+    report = run_checks(osr.build_zmod(6))
+    assert tuple(v.check for v in report.verdicts) == CHECK_NAMES
+    failed = {v.check: v.witness for v in report.verdicts if not v.passed}
+    assert set(failed) == set(CHECK_NAMES) - {"generated-ideal-oracle"}
+    assert failed["idl-quantale-axioms"].startswith("ideals(zmod6): ")
+    assert report.counts["ideals"] is None
+
+    code = main(["check", "--builder", "zmod:6", "--json"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [v["check"] for v in payload["verdicts"]] == list(CHECK_NAMES)
+
+
 def _counting(monkeypatch, module, name):
     """Count the calls to ``module.name`` made through the module."""
     calls = []
@@ -109,6 +134,25 @@ def test_each_universality_pair_is_checked_once(monkeypatch):
     # grid2x3; its chain2, chain3 and diamond are rad-universality's
     pairs = [(L.kind, target.name) for L, _, target, _ in calls]
     assert len(pairs) == len(set(pairs)) == 8
+
+
+def test_each_target_semiring_is_searched_once(monkeypatch):
+    original = osr.morphisms.enumerate_subadditive
+    calls = []
+
+    def counted(A, B, strict_zero=False):
+        calls.append((B, strict_zero))
+        return original(A, B, strict_zero)
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("osr")]:
+        if getattr(mod, "enumerate_subadditive", None) is original:
+            monkeypatch.setattr(mod, "enumerate_subadditive", counted)
+
+    assert run_checks(osr.build_zmod(6)).all_passed
+    # 6 distinct universality targets, chain2 and chain3 shared by both
+    # adjunctions and the reflection, and the primes' search into two()
+    assert len(calls) == len(set(calls)) == 7
+    assert osr.two() is osr.two()
 
 
 def test_second_run_recomputes_everything(monkeypatch):
@@ -188,3 +232,20 @@ def test_product_memo_does_not_hide_a_fault(monkeypatch):
         "product-of-generators": f"{A.name}: <S><T> != <ST> at "
         f"S={A.set_label(s)}, T={A.set_label(t)}"
     }
+
+
+LADDER = ("zmod:6", "zmod:8", "bool:3", "chain:9", "truncnat:8", "maxplus:7", "dualq:4")
+DIGESTS = Path(__file__).parent / "golden" / "run_checks_digests.json"
+
+
+def test_run_checks_output_matches_recorded_digests():
+    instances = {}
+    for A in osr.builtin_family(7) + [from_builder_spec(s) for s in LADDER]:
+        instances.setdefault(A.name, A)
+    got = {
+        name: hashlib.sha256(run_checks(A).to_json().encode()).hexdigest()
+        for name, A in instances.items()
+    }
+    expected = json.loads(DIGESTS.read_text())
+    assert sorted(got) == sorted(expected)
+    assert [name for name in got if got[name] != expected[name]] == []

@@ -163,7 +163,7 @@ def test_canonical_embedding():
     b = two()
     iqb = enumerate_ideals(b)
     embb = canonical_embedding(b)
-    assert embb.values[b.one] == iqb.unit
+    assert embb.values[b.one] == iqb.lattice.unit
     chain3 = osr.build_chain_lattice(3)
     e3 = canonical_embedding(chain3)
     assert e3.monotone
