@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     AxiomViolation,
+    InternalMismatch,
+    IsoFailure,
     LabelError,
     NotALattice,
     NotAQuantale,
@@ -533,3 +535,77 @@ def lattice_from_order(
         is_distributive=distributive,
         is_integral_quantale=mul is not None and unit == top,
     )
+
+
+def subset_lattice(
+    masks: Sequence[int],
+    labels: Sequence[str],
+    close: Callable[[int], int],
+    mul: Optional[Table] = None,
+    name: str = "lattice",
+) -> FiniteLattice:
+    """The lattice of the subsets ``masks`` of a finite set under inclusion.
+
+    ``close`` maps a subset to the least member of the family containing it
+    (a closure system).  The multiplication is ``mul``, or intersection when
+    ``mul`` is None, and the unit is the whole set, the union of ``masks``.
+    Meets are verified to be intersections and joins, the empty join
+    included, to be ``close`` of unions.  Any failure -- a missing
+    intersection or whole set, tables that are not a lattice, ``mul`` that
+    is not a quantale multiplication -- raises InternalMismatch: the callers
+    build families that are closure systems by theory.
+    """
+    k = len(masks)
+    pos = {m: i for i, m in enumerate(masks)}
+    whole = 0
+    for m in masks:
+        whole |= m
+    try:
+        unit = pos[whole]
+        if mul is None:
+            mul = tuple(tuple(pos[s & t] for t in masks) for s in masks)
+    except KeyError as exc:
+        raise InternalMismatch(
+            f"{name}: {bits_label(exc.args[0])} is not in the family"
+        ) from None
+    try:
+        lattice = lattice_from_order(
+            labels, inclusion_order(masks), mul=mul, unit=unit, name=name
+        )
+    except (NotALattice, NotAQuantale) as exc:
+        raise InternalMismatch(f"{name}: {exc}") from exc
+
+    def pair(i: int, j: int) -> str:
+        return f"{labels[i]} and {labels[j]} in {name}"
+
+    if masks[lattice.bottom] != close(0):
+        raise InternalMismatch(f"{name}: bottom is not the closure of the empty set")
+    for i in range(k):
+        for j in range(k):
+            if masks[lattice.join[i][j]] != close(masks[i] | masks[j]):
+                raise InternalMismatch(
+                    f"join of {pair(i, j)} is not the closure of the union"
+                )
+            if masks[lattice.meet[i][j]] != masks[i] & masks[j]:
+                raise InternalMismatch(f"meet of {pair(i, j)} is not the intersection")
+    return lattice
+
+
+def check_lattice_iso(
+    L: FiniteLattice, M: FiniteLattice, forward: Sequence[int], what: str
+) -> None:
+    """Verify that ``forward`` (index of L -> index of M) is a lattice
+    isomorphism: a bijection that preserves and reflects the order and
+    preserves joins and meets.  Raises IsoFailure naming ``what``."""
+    if sorted(forward) != list(range(M.n)) or len(forward) != L.n:
+        raise IsoFailure(
+            f"{what} is not a bijection between {L.n} and {M.n} elements"
+        )
+    for r in range(L.n):
+        for s in range(L.n):
+            if L.le(r, s) != M.le(forward[r], forward[s]):
+                raise IsoFailure(f"{what} does not preserve order")
+            if forward[L.join[r][s]] != M.join[forward[r]][forward[s]]:
+                raise IsoFailure(f"{what} does not preserve joins")
+            if forward[L.meet[r][s]] != M.meet[forward[r]][forward[s]]:
+                raise IsoFailure(f"{what} does not preserve meets")

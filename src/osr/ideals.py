@@ -9,14 +9,15 @@ are compared by the verification suite.
 
 Ideal identity is by member bitmask; within one IdealLattice the ideals
 are interned in canonical order (by size, then bitmask) and all tables are
-over those dense indices.
+over those dense indices.  The tables come from ``core.subset_lattice``,
+which verifies meets as intersections and joins as closures of unions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .analysis import Source, analysis
 from .core import (
@@ -24,14 +25,11 @@ from .core import (
     FiniteOrderedSemiring,
     Table,
     bits,
-    inclusion_order,
-    lattice_from_order,
     subset_key,
+    subset_lattice,
 )
 from .errors import (
     InternalMismatch,
-    NotALattice,
-    NotAQuantale,
     NotIntegral,
     NotSubadditive,
     OwnerMismatch,
@@ -263,38 +261,14 @@ def ideal_lattice(
     A: FiniteOrderedSemiring,
     kind: str,
     masks: Sequence[int],
-    mul: Table,
     close: Callable[[int], int],
+    mul: Optional[Table] = None,
 ) -> IdealLattice:
-    """The ideals ``masks`` of A (canonical order, whole carrier last) under
-    containment, with ``mul`` as multiplication and the whole carrier as
-    unit.  Meets are verified to be intersections and joins to be ``close``
-    of unions.  Tables that are not a lattice or ``mul`` that is not a
-    quantale multiplication raise InternalMismatch: ideals always form one."""
-    k = len(masks)
-    name = f"{kind}({A.name})"
-    try:
-        lattice = lattice_from_order(
-            labels=tuple(A.set_label(m) for m in masks),
-            leq=inclusion_order(masks),
-            mul=mul,
-            unit=k - 1,
-            name=name,
-        )
-    except (NotALattice, NotAQuantale) as exc:
-        raise InternalMismatch(f"{name}: {exc}") from exc
-
-    def pair(i: int, j: int) -> str:
-        return f"{A.set_label(masks[i])} and {A.set_label(masks[j])} in {name}"
-
-    for i in range(k):
-        for j in range(k):
-            if masks[lattice.join[i][j]] != close(masks[i] | masks[j]):
-                raise InternalMismatch(
-                    f"join of {pair(i, j)} is not the closure of the union"
-                )
-            if masks[lattice.meet[i][j]] != masks[i] & masks[j]:
-                raise InternalMismatch(f"meet of {pair(i, j)} is not the intersection")
+    """The ideals ``masks`` of A (canonical order) under containment, built
+    and verified by ``core.subset_lattice`` with ``close`` as the closure
+    and ``mul`` (default: intersection) as multiplication."""
+    labels = tuple(A.set_label(m) for m in masks)
+    lattice = subset_lattice(masks, labels, close, mul, name=f"{kind}({A.name})")
     return IdealLattice(A, kind, tuple(Ideal(A, m) for m in masks), lattice)
 
 
@@ -340,7 +314,7 @@ def enumerate_ideals(A: FiniteOrderedSemiring) -> IdealLattice:
     product = tuple(
         tuple(index[ideal_product(A, I, J).mask] for J in ideals) for I in ideals
     )
-    iq = ideal_lattice(A, "ideals", masks, product, lambda m: _close(A, m))
+    iq = ideal_lattice(A, "ideals", masks, lambda m: _close(A, m), product)
     if not iq.lattice.is_integral_quantale:
         raise InternalMismatch(f"ideal quantale of {A.name} is not integral")
     return iq

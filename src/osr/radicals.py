@@ -10,7 +10,10 @@ and stabilization at the bound is asserted at runtime rather than assumed.
 For abstract finite integral quantales the same closure is the semiprime
 reflection; the radical ideals of a semiring are exactly the semiprime
 elements of its ideal quantale, and the verification suite checks that
-equivalence exhaustively.
+equivalence exhaustively.  Both frames are built by
+``core.subset_lattice``: the radical ideals as carrier subsets closed by
+``radical_closure``, the semiprime elements as their principal downsets
+closed by the reflector.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .core import (
     FiniteOrderedSemiring,
     Table,
     bits,
-    lattice_from_order,
+    check_lattice_iso,
+    subset_lattice,
 )
 from .errors import (
     InternalMismatch,
@@ -84,31 +88,19 @@ def radical_closure(A: FiniteOrderedSemiring, I: Ideal) -> Ideal:
 
 def enumerate_radical_ideals(A: Source) -> IdealLattice:
     """Filter the ideal quantale down to its radical ideals and verify the
-    frame laws exhaustively."""
+    frame laws exhaustively.  The least radical ideal is checked to be the
+    radical of the zero ideal, the closure of the empty set."""
     an = analysis(A)
     A, iq = an.owner, an.ideals
     masks = [I.mask for I in iq.ideals if is_radical(A, I.mask)]
-    index = {m: i for i, m in enumerate(masks)}
-    try:
-        meet = tuple(tuple(index[s & t] for t in masks) for s in masks)
-    except KeyError:
-        raise InternalMismatch(
-            f"radical ideals of {A.name} are not closed under intersection"
-        ) from None
     rad = ideal_lattice(
         A,
         "radicals",
         masks,
-        meet,
         lambda m: radical_closure(A, Ideal(A, _close(A, m))).mask,
     )
     if not rad.lattice.is_distributive:
         raise InternalMismatch(f"radical ideals of {A.name} do not form a frame")
-    bottom = radical_closure(A, iq.ideals[iq.lattice.bottom])
-    if masks[rad.lattice.bottom] != bottom.mask:
-        raise InternalMismatch(
-            f"least radical ideal of {A.name} is not the radical of the zero ideal"
-        )
     return rad
 
 
@@ -143,7 +135,6 @@ def semiprime_elements(Q: FiniteLattice) -> SemiprimeReflection:
         )
     )
     pos = {p: i for i, p in enumerate(members)}
-    k = len(members)
     for a in members:
         for b in members:
             if Q.meet[a][b] not in pos:
@@ -162,29 +153,14 @@ def semiprime_elements(Q: FiniteLattice) -> SemiprimeReflection:
                 raise InternalMismatch(
                     f"reflector of {Q.name} is not left adjoint to the inclusion"
                 )
-    leq = tuple(
-        sum(1 << j for j in range(k) if Q.le(members[i], members[j]))
-        for i in range(k)
-    )
-    meet = tuple(
-        tuple(pos[Q.meet[members[i]][members[j]]] for j in range(k)) for i in range(k)
-    )
-    frame = lattice_from_order(
-        labels=tuple(Q.labels[p] for p in members),
-        leq=leq,
-        mul=meet,
-        unit=k - 1,
+    frame = subset_lattice(
+        [Q.lower_masks[p] for p in members],
+        tuple(Q.labels[p] for p in members),
+        lambda m: Q.lower_masks[radical_of[Q.join_of(bits(m))]],
         name=f"semiprimes({Q.name})",
     )
     if not frame.is_distributive:
         raise InternalMismatch(f"semiprimes of {Q.name} do not form a frame")
-    for i in range(k):
-        for j in range(k):
-            expected = radical_of[Q.join[members[i]][members[j]]]
-            if members[frame.join[i][j]] != expected:
-                raise InternalMismatch(
-                    f"semiprime join in {Q.name} is not the reflected join"
-                )
     return SemiprimeReflection(
         quantale=Q, members=members, frame=frame, radical_of=radical_of
     )
@@ -341,19 +317,9 @@ def check_coherence(A: Source) -> CoherenceReport:
     an = analysis(A)
     A, L = an.owner, an.reflection.lattice
     iq = enumerate_ideals(L.semiring)
-    if len(iq.ideals) != L.n:
-        raise IsoFailure(
-            f"{A.name}: reflection has {L.n} elements but {len(iq.ideals)} ideals"
-        )
-    forward = tuple(iq.index_of(L.lower_masks[r]) for r in range(L.n))
-    if len(set(forward)) != L.n:
-        raise IsoFailure(f"{A.name}: downset map is not injective")
-    for r in range(L.n):
-        for s in range(L.n):
-            if L.le(r, s) != iq.lattice.le(forward[r], forward[s]):
-                raise IsoFailure(f"{A.name}: downset map does not preserve order")
-            if forward[L.join[r][s]] != iq.lattice.join[forward[r]][forward[s]]:
-                raise IsoFailure(f"{A.name}: downset map does not preserve joins")
-            if forward[L.meet[r][s]] != iq.lattice.meet[forward[r]][forward[s]]:
-                raise IsoFailure(f"{A.name}: downset map does not preserve meets")
+    try:
+        forward = tuple(iq.index_of(L.lower_masks[r]) for r in range(L.n))
+    except OwnerMismatch as exc:
+        raise IsoFailure(f"{A.name}: downset map: {exc}") from exc
+    check_lattice_iso(L, iq.lattice, forward, f"{A.name}: downset map")
     return CoherenceReport(radical_count=L.n, reflection_ideal_count=len(iq.ideals))

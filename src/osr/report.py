@@ -22,13 +22,12 @@ from functools import cache
 from typing import Optional
 
 from .analysis import Analysis
-from .builders import chain_frame, diamond_frame, build_zmod
+from .builders import nilpotent_chain_quantale
 from .core import FiniteLattice, FiniteOrderedSemiring
 from .errors import InternalMismatch, VerificationFailure
 from .ideals import (
     check_product_of_generators,
     check_quantale_universality,
-    enumerate_ideals,
     generated_ideal,
     generated_ideal_by_sums,
 )
@@ -36,6 +35,7 @@ from .radicals import (
     check_coherence,
     check_frame_universality,
     check_radical_equals_semiprime,
+    small_distributive_lattices,
 )
 from .spectrum import (
     check_degeneracy_equivalence,
@@ -121,15 +121,18 @@ class CheckReport:
 @cache
 def quantale_targets() -> tuple[FiniteLattice, ...]:
     """The fixed target family for the ideal-quantale universality verdict,
-    built on first use."""
-    return (chain_frame(2), chain_frame(3), enumerate_ideals(build_zmod(4)).lattice)
+    built on first use: the 2- and 3-chains and ``nilq3``, whose tables are
+    those of the ideal quantale of Z/4.  No target is built by the code
+    under test."""
+    return (*small_distributive_lattices()[1:3], nilpotent_chain_quantale())
 
 
 @cache
 def frame_targets() -> tuple[FiniteLattice, ...]:
-    """The fixed target family for the radical-frame universality verdict,
-    built on first use."""
-    return (chain_frame(2), chain_frame(3), diamond_frame())
+    """The fixed target family for the radical-frame universality verdict:
+    the 2- and 3-chains and the diamond, shared with the reflection's
+    targets."""
+    return small_distributive_lattices()[1:4]
 
 
 def _subset_samples(A: FiniteOrderedSemiring, count: int, how_many_sets: int):

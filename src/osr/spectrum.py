@@ -8,7 +8,9 @@ the topology generated by the basic opens D(x) of primes not containing x.
 Points of a finite frame are computed through its meet-prime elements:
 the kernel of any frame map to the two-element chain is the principal
 downset of a meet-prime, which makes the point enumeration linear after a
-prime scan instead of a raw function search.
+prime scan instead of a raw function search.  The frame of opens is built
+by ``core.subset_lattice`` with union as join, and its isomorphism with
+the radical frame is verified by ``core.check_lattice_iso``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .core import (
     FiniteOrderedSemiring,
     bits,
     bits_label,
-    inclusion_order,
-    lattice_from_order,
+    check_lattice_iso,
     subset_key,
+    subset_lattice,
 )
 from .errors import InternalMismatch, IsoFailure
 from .ideals import Ideal, principal_ideal
@@ -268,24 +270,16 @@ def frame_points(F: FiniteLattice) -> FiniteTopSpace:
 
 
 def opens_frame(X: FiniteTopSpace) -> FiniteLattice:
-    """The frame of open sets, ordered by inclusion."""
+    """The frame of open sets, ordered by inclusion, with union as join."""
     opens = sorted(X.opens, key=subset_key)
-    k = len(opens)
-    pos = {u: i for i, u in enumerate(opens)}
-    meet = tuple(tuple(pos[opens[i] & opens[j]] for j in range(k)) for i in range(k))
-    lattice = lattice_from_order(
-        labels=tuple(bits_label(u) for u in opens),
-        leq=inclusion_order(opens),
-        mul=meet,
-        unit=k - 1,
+    lattice = subset_lattice(
+        opens,
+        tuple(bits_label(u) for u in opens),
+        lambda u: u,
         name=f"opens({X.name})",
     )
     if not lattice.is_distributive:
         raise InternalMismatch(f"opens of {X.name} do not form a frame")
-    for i in range(k):
-        for j in range(k):
-            if opens[lattice.join[i][j]] != opens[i] | opens[j]:
-                raise InternalMismatch(f"join of opens of {X.name} is not the union")
     return lattice
 
 
@@ -353,34 +347,20 @@ def check_radical_opens_iso(A: Source) -> RadicalOpensReport:
     opens_sorted = sorted(spec.opens, key=subset_key)
     pos = {u: i for i, u in enumerate(opens_sorted)}
 
-    if len(rad.ideals) != O.n:
-        raise IsoFailure(
-            f"{A.name}: {len(rad.ideals)} radical ideals vs {O.n} opens"
-        )
     forward = []
     for I in rad.ideals:
         u = sum(1 << i for i, P in enumerate(primes) if I.mask & ~P.mask)
         if u not in pos:
             raise IsoFailure(f"{A.name}: image of {I.label} is not open")
         forward.append(pos[u])
-    if len(set(forward)) != len(forward):
-        raise IsoFailure(f"{A.name}: radical ideals map onto opens non-injectively")
-    k = len(rad.ideals)
-    for i in range(k):
-        for j in range(k):
-            if rad.lattice.le(i, j) != O.le(forward[i], forward[j]):
-                raise IsoFailure(f"{A.name}: open-set map does not preserve order")
-            if forward[rad.lattice.join[i][j]] != O.join[forward[i]][forward[j]]:
-                raise IsoFailure(f"{A.name}: open-set map does not preserve joins")
-            if forward[rad.lattice.meet[i][j]] != O.meet[forward[i]][forward[j]]:
-                raise IsoFailure(f"{A.name}: open-set map does not preserve meets")
+    check_lattice_iso(rad.lattice, O, forward, f"{A.name}: open-set map")
     assert spec.basis is not None
     for x, r in enumerate(an.radical_principal):
         if opens_sorted[forward[r]] != spec.basis[x][1]:
             raise IsoFailure(
                 f"{A.name}: radical of <{A.labels[x]}> does not map to D({A.labels[x]})"
             )
-    return RadicalOpensReport(radical_count=k, open_count=O.n)
+    return RadicalOpensReport(radical_count=len(rad.ideals), open_count=O.n)
 
 
 @dataclass(frozen=True)

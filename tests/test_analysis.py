@@ -3,6 +3,7 @@ built once, nothing derived from an instance kept past its analysis, and a
 structure that fails to build turns into failed verdicts instead of an
 aborted report."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -15,6 +16,7 @@ import osr
 import osr.homs
 import osr.ideals
 import osr.morphisms
+import osr.radicals
 import osr.spectrum
 from osr.analysis import Analysis
 from osr.builders import from_builder_spec
@@ -112,6 +114,56 @@ def test_broken_ideal_quantale_becomes_failed_verdicts(monkeypatch, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert [v["check"] for v in payload["verdicts"]] == list(CHECK_NAMES)
+
+
+def test_target_stock_is_not_built_by_the_code_under_test(monkeypatch):
+    def drop_top_bit(A, s, t):
+        out = _products(A, s, t)
+        return out & ~(1 << (out.bit_length() - 1)) if out else out
+
+    # a fresh stock, built while ideal products are broken
+    quantale_targets.cache_clear()
+    monkeypatch.setattr(osr.ideals, "_products", drop_top_bit)
+    try:
+        verdicts = {v.check: v for v in run_checks(osr.build_zmod(6)).verdicts}
+    finally:
+        quantale_targets.cache_clear()
+    witness = verdicts["idl-universality"].witness
+    assert witness.startswith("ideals(zmod6): ") and "zmod4" not in witness
+
+
+def test_broken_spectrum_opens_become_a_failed_verdict(monkeypatch):
+    spectrum_space = osr.spectrum.spectrum_space
+
+    def without_empty_open(A):
+        X = spectrum_space(A)
+        return dataclasses.replace(X, opens=X.opens - {0})
+
+    monkeypatch.setattr(osr.spectrum, "spectrum_space", without_empty_open)
+    report = run_checks(osr.build_zmod(6))
+    assert tuple(v.check for v in report.verdicts) == CHECK_NAMES
+    failed = {v.check: v.witness for v in report.verdicts if not v.passed}
+    # the point space keeps its empty open, which has no image
+    assert set(failed) == {"rad-opens-iso", "pt-rad-homeo"}
+    assert failed["rad-opens-iso"] == (
+        "opens(spectrum(zmod6)): {} is not in the family"
+    )
+
+
+def test_downset_outside_the_reflection_ideals_is_a_failed_verdict(monkeypatch):
+    enumerate_ideals = osr.radicals.enumerate_ideals
+
+    def one_ideal_fewer(B):
+        masks = [I.mask for I in enumerate_ideals(B).ideals]
+        del masks[1]
+        return osr.ideals.ideal_lattice(B, "ideals", masks, lambda m: _close(B, m))
+
+    # an atom's downset in the reflection is no longer among its ideals
+    monkeypatch.setattr(osr.radicals, "enumerate_ideals", one_ideal_fewer)
+    report = run_checks(osr.build_zmod(6))
+    failed = {v.check: v.witness for v in report.verdicts if not v.passed}
+    assert set(failed) == {"coherence-iso"}
+    assert failed["coherence-iso"].startswith("zmod6: downset map: ")
 
 
 def _counting(monkeypatch, module, name):

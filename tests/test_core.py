@@ -14,8 +14,8 @@ from osr import (
     SizeLimit,
     validate,
 )
-from osr.core import bits, lattice_from_order
-from osr.errors import NotALattice
+from osr.core import bits, check_lattice_iso, lattice_from_order, subset_lattice
+from osr.errors import InternalMismatch, IsoFailure, NotALattice
 
 
 def desc_zmod(m, le="discrete"):
@@ -269,3 +269,38 @@ def test_nilpotent_chain_quantale_is_integral():
     assert Q.is_integral_quantale
     assert Q.mul != Q.meet  # a quantale that is not its own frame
     assert Q.mul[1][1] == 0  # the middle element squares to bottom
+
+
+def test_subset_lattice_checks_meets_and_joins():
+    # {}, {0}, {1} and {0,1,2}: the join of {0} and {1} is the whole set
+    masks = (0b000, 0b001, 0b010, 0b111)
+    labels = ("{}", "{0}", "{1}", "{0,1,2}")
+    L = subset_lattice(masks, labels, lambda m: m if m in masks else 0b111)
+    assert L.join[1][2] == 3 and L.meet[1][2] == 0
+    assert L.mul == L.meet and L.unit == L.top == 3
+    # a closure that stops at the union disagrees with the order's join
+    with pytest.raises(InternalMismatch, match=r"join of \{0\} and \{1\} in t "):
+        subset_lattice(masks, labels, lambda m: m, name="t")
+
+
+def test_subset_lattice_refuses_what_is_no_closure_system():
+    labels = ("{0}", "{1}", "{0,1}")
+    with pytest.raises(InternalMismatch, match=r"^t: \{\} is not in the family"):
+        subset_lattice((0b01, 0b10, 0b11), labels, lambda m: m, name="t")
+    # closed under both operations, but the empty union is not the bottom
+    with pytest.raises(InternalMismatch, match="bottom is not the closure"):
+        subset_lattice((0b01, 0b11), labels[::2], lambda m: m, name="t")
+    # a multiplication without the whole set as unit is no quantale
+    with pytest.raises(InternalMismatch, match="^t: unit law fails"):
+        subset_lattice((0b0, 0b1), ("{}", "{0}"), lambda m: m, ((0, 0), (0, 0)), "t")
+
+
+def test_check_lattice_iso_witnesses():
+    C = osr.chain_frame(3)
+    check_lattice_iso(C, C, (0, 1, 2), "identity")
+    with pytest.raises(IsoFailure, match="^squash is not a bijection"):
+        check_lattice_iso(C, C, (0, 0, 2), "squash")
+    with pytest.raises(IsoFailure, match="^flip does not preserve order"):
+        check_lattice_iso(C, C, (2, 1, 0), "flip")
+    with pytest.raises(IsoFailure, match="between 3 and 2 elements"):
+        check_lattice_iso(C, osr.chain_frame(2), (0, 1, 1), "shrink")

@@ -1,5 +1,7 @@
 """Prime ideals, spectra, points of frames, and the duality checks."""
 
+import pytest
+
 import osr
 from osr import (
     check_degeneracy_equivalence,
@@ -18,6 +20,8 @@ from osr import (
     spectrum_space,
 )
 from osr.core import subset_key
+from osr.errors import InternalMismatch
+from osr.spectrum import FiniteTopSpace
 
 
 def test_primes_examples():
@@ -98,6 +102,13 @@ def test_opens_frame_examples():
     assert S.n == 3 and S.is_distributive  # three-chain
     P = opens_frame(spectrum_space(osr.build_zmod(4)))
     assert P.n == 2
+
+
+def test_opens_frame_without_the_empty_open_is_a_mismatch():
+    # bypasses make_space: {a} and {b} meet in the empty set, which is missing
+    X = FiniteTopSpace("x", ("a", "b"), frozenset({0b01, 0b10, 0b11}))
+    with pytest.raises(InternalMismatch, match=r"opens\(x\): \{\} is not in"):
+        opens_frame(X)
 
 
 def test_spectrum_homeomorphism(family8):
