@@ -2,14 +2,16 @@
 
 An ``Analysis`` is made for one ``run_checks`` call or one CLI command.  It
 keeps what it derives from its semiring: the structures below, every ideal
-closure (``close``), every universal-property result (``universality``) and
-the subadditive morphisms those results compare against, one list per target
-semiring and zero-axiom variant, each with the failure its build raised, if
-any.  All of it dies with the analysis, so a new analysis of the same
-semiring verifies everything again.  The only thing kept per process is the
-fixed stock of target lattices, their semirings and ``two()``, none of which
-depends on any instance.  The constructors live in modules that build on
-this one, so each is imported when first used.
+closure (``close``), the product ``<<S><T>>`` of each pair of closed masks
+that ``ideals.check_product_of_generators`` multiplied, every
+universal-property result (``universality``) and the subadditive morphisms
+those results compare against, one list per target semiring and zero-axiom
+variant, each with the failure its build raised, if any.  All of it dies
+with the analysis, so a new analysis of the same semiring verifies
+everything again.  The only thing kept per process is the fixed stock of
+target lattices, their semirings and ``two()``, none of which depends on any
+instance.  The constructors live in modules that build on this one, so each
+is imported when first used.
 """
 
 from __future__ import annotations

@@ -150,6 +150,21 @@ class FiniteOrderedSemiring:
         return lower_masks(self.leq)
 
     @cached_property
+    def multiples(self) -> tuple[int, ...]:
+        """``multiples[x]`` = bitmask of everything below some ``x*y``.
+
+        It contains ``x`` itself, since ``x*1 = x``.
+        """
+        lower = self.lower_masks
+        out = []
+        for row in self.mul:
+            mask = 0
+            for z in row:
+                mask |= lower[z]
+            out.append(mask)
+        return tuple(out)
+
+    @cached_property
     def powers(self) -> tuple[int, ...]:
         """``powers[x]`` = bitmask of the positive powers ``x, x*x, ...``.
 

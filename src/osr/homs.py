@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import FiniteLattice, bits
+from .core import FiniteLattice
 from .errors import InternalMismatch, NotAQuantale, UniversalityFailure
 from .morphisms import MorphismTable
 from .search import forward_search
@@ -105,7 +105,7 @@ def join_extension(
     """The map sending each ideal of ``L`` to the join in ``target`` of the
     images ``f_values`` of its members, as target indices."""
     return tuple(
-        target.join_of(f_values[x] for x in bits(I.mask)) for I in L.ideals
+        target.join_of(f_values[x] for x in members) for members in L.members
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .analysis import Source, analysis
+from .analysis import Source, _kept, analysis
 from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
@@ -99,16 +99,16 @@ def _close(A: FiniteOrderedSemiring, mask: int) -> int:
     """Least ideal containing the subset, in one pass over its elements.
 
     Every element that enters the mask is taken from a worklist once.
-    Taking ``x`` adds everything below ``x*y`` for every ``y`` -- downward
-    closure and absorption at once, since ``x*1 = x`` -- and ``x+y`` for
-    every ``y`` taken before it, ``x`` included.  Each pair of elements is
-    thus added once, not once per round of a naive fixed point.  An element
-    strictly below another one of the mask is dropped from the worklist
-    instead: by monotonicity everything it would add lies below something
-    the larger element adds.  "Strictly" keeps two elements that are each
-    below the other (a preorder) from dropping each other.
+    Taking ``x`` ORs in ``A.multiples[x]``, everything below some ``x*y``
+    (downward closure and absorption in one step, since ``x*1 = x``), and
+    adds ``x+y`` for every ``y`` taken before it, ``x`` included.  Each pair
+    of elements is thus added once, not once per round of a naive fixed
+    point.  An element strictly below another one of the mask is dropped
+    from the worklist instead: by monotonicity everything it would add lies
+    below something the larger element adds.  "Strictly" keeps two elements
+    that are each below the other (a preorder) from dropping each other.
     """
-    add, mul, leq, lower = A.add, A.mul, A.leq, A.lower_masks
+    add, leq, lower, multiples = A.add, A.leq, A.lower_masks, A.multiples
     mask |= 1 << A.zero
     taken = seen = 0
     todo = mask
@@ -118,8 +118,7 @@ def _close(A: FiniteOrderedSemiring, mask: int) -> int:
         seen |= low
         if not leq[x] & ~lower[x] & mask:
             taken |= low
-            for z in mul[x]:
-                mask |= lower[z]
+            mask |= multiples[x]
             row, rest = add[x], taken
             while rest:
                 bit = rest & -rest
@@ -139,17 +138,20 @@ def generated_ideal_by_sums(A: FiniteOrderedSemiring, members: Members) -> int:
 
     Sums of length at most ``|A|`` suffice because the set of reachable
     partial sums grows monotonically inside the carrier; stability at the
-    cutoff is asserted rather than assumed.
+    cutoff is asserted rather than assumed.  The rounds are semi-naive:
+    each adds ``t + p`` only for the sums ``t`` new since the round before,
+    since every older sum was extended then; so each sum is extended once.
     """
-    seed = as_mask(members)
-    prods = {A.mul[s][y] for s in bits(seed) for y in range(A.n)}
-    sums = {A.zero}
+    add = A.add
+    # the products s*y, y ranging over A, are the entries of row s
+    prods = set().union(*(A.mul[s] for s in bits(as_mask(members))))
+    sums, new = {A.zero}, {A.zero}
     for _ in range(A.n):
-        grown = sums | {A.add[t][p] for t in sums for p in prods}
-        if grown == sums:
+        new = {add[t][p] for t in new for p in prods} - sums
+        if not new:
             break
-        sums = grown
-    if sums | {A.add[t][p] for t in sums for p in prods} != sums:
+        sums |= new
+    if {add[t][p] for t in new for p in prods} - sums:
         raise InternalMismatch("partial sums not stable at the length bound")
     mask = 0
     for t in sums:
@@ -207,13 +209,15 @@ def _products(A: FiniteOrderedSemiring, s_mask: int, t_mask: int) -> int:
 def check_product_of_generators(A: Source, S: Members, T: Members) -> bool:
     """Does <S> . <T> equal the ideal generated by the pairwise products?
 
-    Every closure is read through the analysis, so a run over many pairs
-    closes each distinct subset once.
+    Every closure is read through the analysis, and so is ``<<S><T>>``,
+    kept per pair of closed masks: a run over many pairs closes each
+    distinct subset once and multiplies each distinct pair of ideals once.
     """
     an = analysis(A)
     A, close = an.owner, an.close
     s_mask, t_mask = as_mask(S), as_mask(T)
-    lhs = close(_products(A, close(s_mask), close(t_mask)))
+    cs, ct = close(s_mask), close(t_mask)
+    lhs = _kept(an, ("product", cs, ct), lambda: close(_products(A, cs, ct)))
     return lhs == close(_products(A, s_mask, t_mask))
 
 
@@ -241,6 +245,11 @@ class IdealLattice:
     @cached_property
     def _by_mask(self) -> dict:
         return {I.mask: i for i, I in enumerate(self.ideals)}
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Each ideal's members, in the order of ``ideals``."""
+        return tuple(I.members for I in self.ideals)
 
     def index_of(self, mask: int) -> int:
         try:
@@ -314,10 +323,7 @@ def enumerate_ideals(A: FiniteOrderedSemiring) -> IdealLattice:
     product = tuple(
         tuple(index[ideal_product(A, I, J).mask] for J in ideals) for I in ideals
     )
-    iq = ideal_lattice(A, "ideals", masks, lambda m: _close(A, m), product)
-    if not iq.lattice.is_integral_quantale:
-        raise InternalMismatch(f"ideal quantale of {A.name} is not integral")
-    return iq
+    return ideal_lattice(A, "ideals", masks, lambda m: _close(A, m), product)
 
 
 def canonical_embedding(A: Source) -> MorphismTable:

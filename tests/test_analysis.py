@@ -33,6 +33,7 @@ from osr.radicals import small_distributive_lattices
 from osr.report import (
     CHECK_NAMES,
     SAMPLES,
+    Verdict,
     _subset_samples,
     frame_targets,
     quantale_targets,
@@ -284,6 +285,55 @@ def test_product_memo_does_not_hide_a_fault(monkeypatch):
         "product-of-generators": f"{A.name}: <S><T> != <ST> at "
         f"S={A.set_label(s)}, T={A.set_label(t)}"
     }
+
+
+def test_sampled_verdicts_close_each_mask_once(monkeypatch):
+    """The oracle and product verdicts close each distinct mask once and
+    multiply each distinct pair of ideals once."""
+    A = osr.build_zmod(8)
+    events = []
+    for name in ("_close", "_products"):
+
+        def counted(*args, _name=name, _original=getattr(osr.ideals, name)):
+            events.append((_name, args[1:]))
+            return _original(*args)
+
+        monkeypatch.setattr(osr.ideals, name, counted)
+
+    def verdict(check, passed, witness=None):
+        events.append(("verdict", check))
+        return Verdict(check, passed, witness)
+
+    monkeypatch.setattr(osr.report, "Verdict", verdict)
+    assert run_checks(A).all_passed
+    # the two sampled verdicts run right after idl-universality
+    start = events.index(("verdict", "idl-universality"))
+    end = events.index(("verdict", "product-of-generators"))
+    window = events[start + 1 : end]
+    closed = Counter(args[0] for name, args in window if name == "_close")
+    # n = 8: the oracle's singles are the whole power set
+    assert set(closed) >= {m for (m,) in _subset_samples(A, SAMPLES, 1)}
+    assert set(closed.values()) == {1}
+    pairs = _subset_samples(A, SAMPLES, 2)
+    ideal_pairs = {(_close(A, s), _close(A, t)) for s, t in pairs}
+    products = [args for name, args in window if name == "_products"]
+    # <ST> once per sampled pair, <S>.<T> once per distinct pair of ideals
+    assert len(products) == len(pairs) + len(ideal_pairs)
+    assert len(ideal_pairs) < len(pairs)
+
+
+def test_broken_multiples_fail_the_oracle_verdict():
+    A = from_builder_spec("chain:4")
+    broken = list(A.multiples)
+    broken[3] &= ~(1 << 2)
+    # a cached_property is read from the instance dict first
+    A.__dict__["multiples"] = tuple(broken)
+    report = run_checks(A)
+    assert tuple(v.check for v in report.verdicts) == CHECK_NAMES
+    failed = {v.check: v.witness for v in report.verdicts if not v.passed}
+    assert failed["generated-ideal-oracle"] == (
+        "chain4: closure and sum formula disagree on {3}"
+    )
 
 
 LADDER = ("zmod:6", "zmod:8", "bool:3", "chain:9", "truncnat:8", "maxplus:7", "dualq:4")

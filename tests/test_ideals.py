@@ -79,6 +79,34 @@ def test_enumeration_matches_subset_filter_oracle(family8):
         assert enumerate_ideals_bruteforce(A) == expected
 
 
+def _sums_naive(A, seed):
+    """Every round re-adds every sum found so far, until none is new."""
+    prods = {A.mul[s][y] for s in range(A.n) if seed >> s & 1 for y in range(A.n)}
+    sums = {A.zero}
+    while True:
+        grown = sums | {A.add[t][p] for t in sums for p in prods}
+        if grown == sums:
+            break
+        sums = grown
+    mask = 0
+    for t in sums:
+        mask |= A.lower_masks[t]
+    return mask
+
+
+def test_semi_naive_sums_match_the_naive_fixed_point():
+    for A in osr.builtin_family(5):
+        for seed in range(1 << A.n):
+            assert generated_ideal_by_sums(A, seed) == _sums_naive(A, seed)
+
+
+def test_multiples_are_the_principal_ideals(family8):
+    for A in family8:
+        assert A.multiples == tuple(
+            principal_ideal(A, x).mask for x in range(A.n)
+        )
+
+
 def test_generated_matches_intersection_oracle(family8):
     """Every seed subset, over the family and over two genuine preorders
     (distinct elements each below the other), where a closure that assumed
