@@ -16,7 +16,6 @@ is imported when first used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .core import FiniteOrderedSemiring
@@ -51,14 +50,13 @@ def _structure(build) -> property:
     )
 
 
-@dataclass(frozen=True)
 class Analysis:
     """The derived structures of ``owner``, each made by its named
     constructor, with every cross-check, on first use."""
 
-    owner: FiniteOrderedSemiring
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _closures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, owner: FiniteOrderedSemiring) -> None:
+        self.owner = owner
+        self._built, self._closures = {}, {}  # by key; by mask
 
     def close(self, mask: int) -> int:
         """``ideals._close(owner, mask)``, computed once per mask."""
@@ -95,7 +93,7 @@ class Analysis:
         """The ideal quantale."""
         from .ideals import enumerate_ideals
 
-        return enumerate_ideals(self.owner)
+        return enumerate_ideals(self)
 
     @_structure
     def radicals(self) -> "IdealLattice":
@@ -146,7 +144,7 @@ class Analysis:
 
         A = self.owner
         return tuple(
-            self.radicals.index_of(radical_closure(A, principal_ideal(A, x)).mask)
+            self.radicals.index_of(radical_closure(self, principal_ideal(A, x)).mask)
             for x in range(A.n)
         )
 

@@ -8,7 +8,6 @@ identical tables.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -258,7 +257,7 @@ def build_from_quantale(Q: FiniteLattice) -> FiniteOrderedSemiring:
 
 def discretize(A: FiniteOrderedSemiring) -> FiniteOrderedSemiring:
     """Same tables, identity order.  Monotonicity becomes vacuous."""
-    return validate(replace(A.describe(), name=f"{A.name}.discrete", le="discrete"))
+    return validate(A.describe()._replace(name=f"{A.name}.discrete", le="discrete"))
 
 
 def order_dual(A: FiniteOrderedSemiring) -> FiniteOrderedSemiring:
@@ -269,7 +268,7 @@ def order_dual(A: FiniteOrderedSemiring) -> FiniteOrderedSemiring:
     """
     desc = A.describe()
     le = desc.le if desc.le == "discrete" else tuple((b, a) for a, b in desc.le)
-    return validate(replace(desc, name=f"{A.name}.dual", le=le))
+    return validate(desc._replace(name=f"{A.name}.dual", le=le))
 
 
 def build_dual_chain(k: int) -> FiniteOrderedSemiring:

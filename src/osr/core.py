@@ -8,9 +8,9 @@ structures are frozen; axiom checking is always exhaustive -- at desk scale
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     AxiomViolation,
@@ -26,6 +26,42 @@ MAX_ELEMENTS = 24  # ideal enumeration is 2^n in the worst case downstream
 
 Table = tuple[tuple[int, ...], ...]
 LePairs = tuple[tuple[str, str], ...]
+
+
+class Record:
+    """A frozen record with a ``__dict__`` for ``cached_property`` tables
+    and weak references, which a NamedTuple lacks; neither is a dataclass,
+    whose import costs every CLI start-up.  Fields are the annotations (a
+    class value is a default); ``_replace`` copies with changes."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = property(attrgetter(*cls._fields))  # a tuple of the fields
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        given = dict(zip(self._fields, args), **kwargs)
+        values = {**self._defaults, **given}
+        if len(values) != len(self._fields) or len(given) < len(args) + len(kwargs):
+            raise TypeError(f"{type(self).__name__} takes {self._fields}")
+        for name in self._fields:  # as a dataclass does, so that reads stay fast
+            object.__setattr__(self, name, values[name])
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values), **changes))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def bits(mask: int) -> Iterable[int]:
@@ -97,8 +133,7 @@ def transitive_closure(rows: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RawSemiringDescription:
+class RawSemiringDescription(NamedTuple):
     """Serializable description of an ordered semiring, all in labels.
 
     ``le`` is the keyword ``"discrete"``, the keyword ``"chain"`` (total
@@ -115,8 +150,7 @@ class RawSemiringDescription:
     mul_table: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class FiniteOrderedSemiring:
+class FiniteOrderedSemiring(Record):
     """A validated finite ordered semiring.
 
     ``leq[i]`` has bit ``j`` set iff element ``i`` is below element ``j``.
@@ -362,8 +396,7 @@ def validate(desc: RawSemiringDescription) -> FiniteOrderedSemiring:
 # --- finite lattices ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
+class FiniteLattice(Record):
     """A finite lattice, optionally carrying a quantale multiplication.
 
     ``mul``/``unit`` are present for quantales; ``is_integral_quantale``

@@ -16,8 +16,7 @@ preservation law as soon as the elements it mentions have values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import FiniteLattice
 from .errors import InternalMismatch, NotAQuantale, UniversalityFailure
@@ -28,8 +27,7 @@ if TYPE_CHECKING:
     from .ideals import IdealLattice
 
 
-@dataclass(frozen=True)
-class LatticeHom:
+class LatticeHom(NamedTuple):
     """A table of target indices, one per source-lattice element."""
 
     source: FiniteLattice
@@ -90,8 +88,7 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeH
     return out
 
 
-@dataclass(frozen=True)
-class UniversalityReport:
+class UniversalityReport(NamedTuple):
     """Both sides of a verified universal-property bijection."""
 
     target: str

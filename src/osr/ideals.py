@@ -15,14 +15,14 @@ which verifies meets as intersections and joins as closures of unions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .analysis import Source, _kept, analysis
 from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
+    Record,
     Table,
     bits,
     subset_key,
@@ -48,14 +48,15 @@ Members = Union[int, Iterable[int]]
 def as_mask(members: Members) -> int:
     if isinstance(members, int):
         return members
+    if hasattr(members, "_fields"):  # a record is not a set of elements
+        raise TypeError(f"{type(members).__name__} is not a set of elements")
     mask = 0
     for x in members:
         mask |= 1 << x
     return mask
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(NamedTuple):
     """A carrier subset satisfying the four ideal closure conditions."""
 
     owner: FiniteOrderedSemiring
@@ -128,9 +129,10 @@ def _close(A: FiniteOrderedSemiring, mask: int) -> int:
     return mask
 
 
-def generated_ideal(A: FiniteOrderedSemiring, members: Members) -> Ideal:
+def generated_ideal(A: Source, members: Members) -> Ideal:
     """The least ideal of A containing the given subset."""
-    return Ideal(A, _close(A, as_mask(members)))
+    an = analysis(A)
+    return Ideal(an.owner, an.close(as_mask(members)))
 
 
 def generated_ideal_by_sums(A: FiniteOrderedSemiring, members: Members) -> int:
@@ -187,12 +189,14 @@ def ideal_join(A: FiniteOrderedSemiring, ideals: Iterable[Ideal]) -> Ideal:
     return generated_ideal(A, mask)
 
 
-def ideal_product(A: FiniteOrderedSemiring, I: Ideal, J: Ideal) -> Ideal:
+def ideal_product(A: Source, I: Ideal, J: Ideal) -> Ideal:
     """The ideal generated by all pairwise products."""
+    an = analysis(A)
+    A = an.owner
     for K in (I, J):
         if K.owner != A:
             raise OwnerMismatch(f"ideal of {K.owner.name} multiplied over {A.name}")
-    return generated_ideal(A, _products(A, I.mask, J.mask))
+    return generated_ideal(an, _products(A, I.mask, J.mask))
 
 
 def _products(A: FiniteOrderedSemiring, s_mask: int, t_mask: int) -> int:
@@ -227,8 +231,7 @@ def enumerate_ideals_bruteforce(A: FiniteOrderedSemiring) -> list[int]:
     return sorted((m for m in range(1 << A.n) if is_ideal(A, m)), key=subset_key)
 
 
-@dataclass(frozen=True)
-class IdealLattice:
+class IdealLattice(Record):
     """A family of ideals ordered by containment, with its lattice tables.
 
     ``kind`` names the family: ``"ideals"`` is every ideal, the ideal
@@ -284,23 +287,26 @@ def ideal_lattice(
 BRUTEFORCE_CROSSCHECK_LIMIT = 12  # 2^n subset filter re-run below this size
 
 
-def enumerate_ideals(A: FiniteOrderedSemiring) -> IdealLattice:
+def enumerate_ideals(A: Source) -> IdealLattice:
     """All ideals of A with fully verified quantale structure.
 
     Ideals are found by closing generator sets (every ideal is reached by
     adding one generator at a time), cross-checked against the exhaustive
     subset filter at small sizes.  The quantale laws -- commutative monoid
     with the whole carrier as unit, distribution over binary joins -- are
-    then checked exhaustively over the ideal indices.
+    then checked exhaustively over the ideal indices.  Every closure reads
+    the analysis, so each distinct subset is closed once.
     """
-    bottom = _close(A, 0)
+    an = analysis(A)
+    A, close = an.owner, an.close
+    bottom = close(0)
     seen = {bottom}
     frontier = [bottom]
     while frontier:
         grown = []
         for mask in frontier:
             for x in bits(A.full_mask & ~mask):
-                bigger = _close(A, mask | 1 << x)
+                bigger = close(mask | 1 << x)
                 if bigger not in seen:
                     seen.add(bigger)
                     grown.append(bigger)
@@ -321,9 +327,9 @@ def enumerate_ideals(A: FiniteOrderedSemiring) -> IdealLattice:
     index = {m: i for i, m in enumerate(masks)}
     ideals = [Ideal(A, m) for m in masks]
     product = tuple(
-        tuple(index[ideal_product(A, I, J).mask] for J in ideals) for I in ideals
+        tuple(index[ideal_product(an, I, J).mask] for J in ideals) for I in ideals
     )
-    return ideal_lattice(A, "ideals", masks, lambda m: _close(A, m), product)
+    return ideal_lattice(A, "ideals", masks, close, product)
 
 
 def canonical_embedding(A: Source) -> MorphismTable:
@@ -424,7 +430,7 @@ def induced_quantale_hom(f: MorphismTable) -> LatticeHom:
         compose(f, canonical_embedding(target)), target_iq.lattice, source_iq
     )
     for i, I in enumerate(source_iq.ideals):
-        image = generated_ideal(B, {f.values[x] for x in I.members})
+        image = generated_ideal(target, {f.values[x] for x in I.members})
         if target_iq.index_of(image.mask) != hom.values[i]:
             raise InternalMismatch(
                 f"image of {I.label} under {A.name} -> {B.name} disagrees with "

@@ -13,15 +13,14 @@ bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import FiniteOrderedSemiring, bits
 from .errors import EndpointMismatch, InternalMismatch
 from .search import forward_search
 
 
-@dataclass(frozen=True)
-class MorphismTable:
+class MorphismTable(NamedTuple):
     """A function between carriers with exhaustively computed flags."""
 
     source: FiniteOrderedSemiring
@@ -220,8 +219,7 @@ def compose(f: MorphismTable, g: MorphismTable) -> MorphismTable:
     return classify(f.source, g.target, tuple(g.values[v] for v in f.values))
 
 
-@dataclass(frozen=True)
-class HomomorphismCriteria:
+class HomomorphismCriteria(NamedTuple):
     """Outcome of the sufficient-conditions check for forced homomorphisms."""
 
     target_discrete: bool

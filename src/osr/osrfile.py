@@ -30,7 +30,7 @@ description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import RawSemiringDescription
 from .errors import DuplicateLabel, MissingSection, ParseError
@@ -38,8 +38,7 @@ from .errors import DuplicateLabel, MissingSection, ParseError
 SECTIONS = ("name", "elements", "le", "zero", "one", "add", "mul")
 
 
-@dataclass(frozen=True)
-class OsrDocument:
+class OsrDocument(NamedTuple):
     """A parsed description plus the source line span of every section."""
 
     description: RawSemiringDescription

@@ -18,8 +18,8 @@ closed by the reflector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .analysis import Source, analysis
 from .core import (
@@ -39,14 +39,7 @@ from .errors import (
     UniversalityFailure,
 )
 from .homs import UniversalityReport
-from .ideals import (
-    Ideal,
-    IdealLattice,
-    _close,
-    as_mask,
-    enumerate_ideals,
-    ideal_lattice,
-)
+from .ideals import Ideal, IdealLattice, as_mask, enumerate_ideals, ideal_lattice
 
 
 def power_set(mul: Table, size: int, x: int) -> set[int]:
@@ -70,9 +63,11 @@ def is_radical(A: FiniteOrderedSemiring, members) -> bool:
     return not any(A.powers[x] & mask for x in bits(A.full_mask & ~mask))
 
 
-def radical_closure(A: FiniteOrderedSemiring, I: Ideal) -> Ideal:
+def radical_closure(A: Source, I: Ideal) -> Ideal:
     """Least radical ideal containing I: alternate root adjunction with
-    ideal closure until stable."""
+    ideal closure, read through the analysis, until stable."""
+    an = analysis(A)
+    A = an.owner
     if I.owner != A:
         raise OwnerMismatch(f"ideal of {I.owner.name} closed over {A.name}")
     mask = I.mask
@@ -81,7 +76,7 @@ def radical_closure(A: FiniteOrderedSemiring, I: Ideal) -> Ideal:
         for x in bits(A.full_mask & ~mask):
             if A.powers[x] & mask:
                 mask |= 1 << x
-        mask = _close(A, mask)
+        mask = an.close(mask)
         if mask == prev:
             return Ideal(A, mask)
 
@@ -97,15 +92,14 @@ def enumerate_radical_ideals(A: Source) -> IdealLattice:
         A,
         "radicals",
         masks,
-        lambda m: radical_closure(A, Ideal(A, _close(A, m))).mask,
+        lambda m: radical_closure(an, Ideal(A, an.close(m))).mask,
     )
     if not rad.lattice.is_distributive:
         raise InternalMismatch(f"radical ideals of {A.name} do not form a frame")
     return rad
 
 
-@dataclass(frozen=True)
-class SemiprimeReflection:
+class SemiprimeReflection(NamedTuple):
     """The semiprime elements of an integral quantale, with the reflector."""
 
     quantale: FiniteLattice
@@ -166,8 +160,7 @@ def semiprime_elements(Q: FiniteLattice) -> SemiprimeReflection:
     )
 
 
-@dataclass(frozen=True)
-class RadicalSemiprimeReport:
+class RadicalSemiprimeReport(NamedTuple):
     """Outcome of the radical-ideal / semiprime-element comparison."""
 
     ideal_count: int
@@ -198,8 +191,7 @@ def check_frame_universality(
     return analysis(A).universality("radicals", F, strict_zero)
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
+class ReflectionResult(NamedTuple):
     """The distributive-lattice reflection of an ordered semiring.
 
     Realized as the radical frame: at finite scale every ideal of the
@@ -295,8 +287,7 @@ def distributive_reflection(A: Source) -> ReflectionResult:
     )
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(NamedTuple):
     """Witness that the radical frame is the ideal frame of the reflection."""
 
     radical_count: int

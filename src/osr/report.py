@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analysis import Analysis
 from .builders import nilpotent_chain_quantale
@@ -67,21 +66,19 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     check: str
     passed: bool
     witness: Optional[str] = None
 
 
-@dataclass
 class CheckReport:
     """One instance's counts, per-theorem verdicts, and phase timings."""
 
-    name: str
-    counts: dict
-    verdicts: list[Verdict] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+    def __init__(self, name: str, counts: dict, verdicts=None, timings=None):
+        self.name, self.counts = name, counts
+        self.verdicts: list[Verdict] = [] if verdicts is None else verdicts
+        self.timings: dict = {} if timings is None else timings
 
     @property
     def all_passed(self) -> bool:

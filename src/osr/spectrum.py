@@ -15,15 +15,15 @@ the radical frame is verified by ``core.check_lattice_iso``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analysis import Source, analysis
 from .builders import two
 from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
+    Record,
     bits,
     bits_label,
     check_lattice_iso,
@@ -35,8 +35,7 @@ from .ideals import Ideal, principal_ideal
 from .morphisms import enumerate_subadditive
 
 
-@dataclass(frozen=True)
-class FiniteTopSpace:
+class FiniteTopSpace(Record):
     """A finite point set with a family of open subsets (as point bitmasks).
 
     ``opens`` always contains the empty and full sets and is closed under
@@ -99,9 +98,7 @@ def make_space(
                     cover |= b
             if cover != u:
                 raise InternalMismatch(f"{name}: open set is not a union of basis sets")
-    return FiniteTopSpace(
-        name=name, point_labels=point_labels, opens=opens, basis=basis
-    )
+    return FiniteTopSpace(name, point_labels, opens, basis)
 
 
 def _is_prime_mask(A: FiniteOrderedSemiring, mask: int) -> bool:
@@ -144,8 +141,7 @@ def enumerate_maximal(A: Source) -> list[Ideal]:
     return out
 
 
-@dataclass(frozen=True)
-class MaximalPrimeReport:
+class MaximalPrimeReport(NamedTuple):
     maximal_count: int
     prime_count: int
     has_prime_non_maximal: bool
@@ -178,8 +174,7 @@ def check_maximal_implies_prime(A: Source) -> MaximalPrimeReport:
     )
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     """The four equivalent ways for a spectrum to be empty."""
 
     all_below_zero: bool
@@ -283,8 +278,7 @@ def opens_frame(X: FiniteTopSpace) -> FiniteLattice:
     return lattice
 
 
-@dataclass(frozen=True)
-class SpaceIso:
+class SpaceIso(NamedTuple):
     """A verified homeomorphism between two finite spaces."""
 
     forward: tuple[int, ...]
@@ -331,8 +325,7 @@ def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
     return SpaceIso(forward=forward, backward=backward)
 
 
-@dataclass(frozen=True)
-class RadicalOpensReport:
+class RadicalOpensReport(NamedTuple):
     radical_count: int
     open_count: int
 
@@ -363,8 +356,7 @@ def check_radical_opens_iso(A: Source) -> RadicalOpensReport:
     return RadicalOpensReport(radical_count=len(rad.ideals), open_count=O.n)
 
 
-@dataclass(frozen=True)
-class PrimeElementReport:
+class PrimeElementReport(NamedTuple):
     prime_count: int
 
 
@@ -393,8 +385,7 @@ def check_prime_element_correspondence(A: Source) -> PrimeElementReport:
     return PrimeElementReport(prime_count=count)
 
 
-@dataclass(frozen=True)
-class SoberReport:
+class SoberReport(NamedTuple):
     t0: bool
     sober: bool
     witness: Optional[str] = None

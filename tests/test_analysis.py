@@ -3,7 +3,6 @@ built once, nothing derived from an instance kept past its analysis, and a
 structure that fails to build turns into failed verdicts instead of an
 aborted report."""
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -138,7 +137,7 @@ def test_broken_spectrum_opens_become_a_failed_verdict(monkeypatch):
 
     def without_empty_open(A):
         X = spectrum_space(A)
-        return dataclasses.replace(X, opens=X.opens - {0})
+        return X._replace(opens=X.opens - {0})
 
     monkeypatch.setattr(osr.spectrum, "spectrum_space", without_empty_open)
     report = run_checks(osr.build_zmod(6))
@@ -206,6 +205,17 @@ def test_each_target_semiring_is_searched_once(monkeypatch):
     # adjunctions and the reflection, and the primes' search into two()
     assert len(calls) == len(set(calls)) == 7
     assert osr.two() is osr.two()
+
+
+def test_building_ideals_and_radicals_closes_each_mask_once(monkeypatch):
+    """The generator frontier, the ideal product table, both lattices' join
+    checks and the radical closure all read the analysis's closures."""
+    closes = _counting(monkeypatch, osr.ideals, "_close")
+    an = Analysis(osr.build_chain_lattice(24))
+    assert len(an.radicals) <= len(an.ideals)
+    masks = Counter(mask for _, mask in closes)
+    assert set(masks.values()) == {1}
+    assert set(masks) == set(an._closures)
 
 
 def test_second_run_recomputes_everything(monkeypatch):
@@ -288,10 +298,18 @@ def test_product_memo_does_not_hide_a_fault(monkeypatch):
 
 
 def test_sampled_verdicts_close_each_mask_once(monkeypatch):
-    """The oracle and product verdicts close each distinct mask once and
-    multiply each distinct pair of ideals once."""
+    """The oracle and product verdicts close each distinct mask once, none
+    that building the structures closed already, and multiply each
+    distinct pair of ideals once."""
     A = osr.build_zmod(8)
     events = []
+    analyses, built = [], set()
+
+    def keep(owner):
+        analyses.append(Analysis(owner))
+        return analyses[-1]
+
+    monkeypatch.setattr(osr.report, "Analysis", keep)
     for name in ("_close", "_products"):
 
         def counted(*args, _name=name, _original=getattr(osr.ideals, name)):
@@ -302,6 +320,8 @@ def test_sampled_verdicts_close_each_mask_once(monkeypatch):
 
     def verdict(check, passed, witness=None):
         events.append(("verdict", check))
+        if check == "idl-universality":
+            built.update(analyses[0]._closures)
         return Verdict(check, passed, witness)
 
     monkeypatch.setattr(osr.report, "Verdict", verdict)
@@ -311,8 +331,10 @@ def test_sampled_verdicts_close_each_mask_once(monkeypatch):
     end = events.index(("verdict", "product-of-generators"))
     window = events[start + 1 : end]
     closed = Counter(args[0] for name, args in window if name == "_close")
-    # n = 8: the oracle's singles are the whole power set
-    assert set(closed) >= {m for (m,) in _subset_samples(A, SAMPLES, 1)}
+    # n = 8: the oracle's singles are the whole power set; those that the
+    # ideal quantale or the radical frame closed are read from the analysis
+    assert set(closed) | built >= {m for (m,) in _subset_samples(A, SAMPLES, 1)}
+    assert set(closed).isdisjoint(built)
     assert set(closed.values()) == {1}
     pairs = _subset_samples(A, SAMPLES, 2)
     ideal_pairs = {(_close(A, s), _close(A, t)) for s, t in pairs}

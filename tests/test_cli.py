@@ -1,7 +1,10 @@
 """CLI contract: subcommands, exit codes, and byte-stable JSON."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import osr.report
 from osr.cli import main
@@ -163,3 +166,20 @@ def test_failed_verdict_exits_1(capsys, monkeypatch):
     failed = [v for v in payload["verdicts"] if not v["pass"]]
     assert [v["check"] for v in failed] == ["radical-semiprime"]
     assert "deliberately broken" in failed[0]["witness"]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every CLI command is a fresh process that pays for these imports
+    src = pathlib.Path(osr.report.__file__).parents[1]
+    code = (
+        "import sys, osr.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"

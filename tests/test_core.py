@@ -304,3 +304,32 @@ def test_check_lattice_iso_witnesses():
         check_lattice_iso(C, C, (2, 1, 0), "flip")
     with pytest.raises(IsoFailure, match="between 3 and 2 elements"):
         check_lattice_iso(C, osr.chain_frame(2), (0, 1, 1), "shrink")
+
+
+def test_records_are_immutable():
+    A = osr.build_zmod(4)
+    iq = osr.enumerate_ideals(A)
+    f = osr.enumerate_subadditive(A, osr.two())[0]
+    for record, field in (
+        (A, "name"),
+        (iq.lattice, "join"),
+        (iq.ideals[0], "mask"),
+        (f, "values"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+def test_records_are_equal_and_hash_alike_by_value():
+    family = osr.builtin_family(5)
+    for A in family:
+        B = validate(A.describe())
+        assert B is not A and B == A and hash(B) == hash(A)
+    assert len(set(family)) == len(family)
+
+
+def test_a_record_is_not_a_set_of_elements():
+    # a NamedTuple is iterable, but its fields are not element indices
+    I = osr.principal_ideal(osr.build_zmod(4), 2)
+    with pytest.raises(TypeError):
+        osr.ideals.as_mask(I)

@@ -1,7 +1,6 @@
 """The forward-checking search engine: raw-search guard, node budget, leaf
 cross-check, and the carrier sizes it makes reachable."""
 
-import dataclasses
 
 import pytest
 
@@ -58,7 +57,7 @@ def test_morphism_leaf_failing_classification_raises(monkeypatch):
     real = osr.morphisms.classify
 
     def broken(A, B, values):
-        return dataclasses.replace(real(A, B, values), multiplicative=False)
+        return real(A, B, values)._replace(multiplicative=False)
 
     monkeypatch.setattr(osr.morphisms, "classify", broken)
     with pytest.raises(InternalMismatch, match=r"map \[0, 1, 0, 1, 0, 1\]"):
