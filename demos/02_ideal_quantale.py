@@ -1,8 +1,8 @@
 """Ideals and the integral quantale they form.
 
 The ideal listing is generated by fixed-point closure and re-verified two
-independent ways: a raw subset filter at small sizes and the bounded-sum
-membership formula.
+independent ways: the kernels of the maps into the two-element chain, at
+every size, and the bounded-sum membership formula.
 """
 
 import osr

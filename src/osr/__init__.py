@@ -54,7 +54,6 @@ from .ideals import (
     check_product_of_generators,
     check_quantale_universality,
     enumerate_ideals,
-    enumerate_ideals_bruteforce,
     extend_to_quantale_hom,
     generated_ideal,
     generated_ideal_by_sums,

@@ -24,6 +24,7 @@ from .errors import VerificationFailure
 if TYPE_CHECKING:
     from .core import FiniteLattice
     from .ideals import Ideal, IdealLattice
+    from .morphisms import MorphismTable
     from .radicals import ReflectionResult
     from .spectrum import FiniteTopSpace
 
@@ -52,7 +53,8 @@ def _structure(build) -> property:
 
 class Analysis:
     """The derived structures of ``owner``, each made by its named
-    constructor, with every cross-check, on first use."""
+    constructor, with every cross-check, on first use.  One search into
+    ``two()``, ``kernels``, checks both the ideals and the primes."""
 
     def __init__(self, owner: FiniteOrderedSemiring) -> None:
         self.owner = owner
@@ -87,6 +89,16 @@ class Analysis:
             return check_universal_property(L, arrow, target, morphisms)
 
         return _kept(self, (kind, target, strict_zero), check)
+
+    @_structure
+    def kernels(self) -> "list[MorphismTable]":
+        """The subadditive, submultiplicative maps into ``two()``: their
+        kernels are the ideals, and the kernels of the subadditive
+        morphisms among them are the primes."""
+        from .builders import two
+        from .morphisms import enumerate_sub_submul
+
+        return enumerate_sub_submul(self.owner, two())
 
     @_structure
     def ideals(self) -> "IdealLattice":

@@ -225,12 +225,6 @@ def check_product_of_generators(A: Source, S: Members, T: Members) -> bool:
     return lhs == close(_products(A, s_mask, t_mask))
 
 
-def enumerate_ideals_bruteforce(A: FiniteOrderedSemiring) -> list[int]:
-    """All ideal masks by filtering every carrier subset.  Exponential; the
-    reference oracle for the closure-based enumeration."""
-    return sorted((m for m in range(1 << A.n) if is_ideal(A, m)), key=subset_key)
-
-
 class IdealLattice(Record):
     """A family of ideals ordered by containment, with its lattice tables.
 
@@ -255,10 +249,11 @@ class IdealLattice(Record):
         return tuple(I.members for I in self.ideals)
 
     def index_of(self, mask: int) -> int:
+        """The index of an ideal the library computed; a miss is a fault."""
         try:
             return self._by_mask[mask]
         except KeyError:
-            raise OwnerMismatch(
+            raise InternalMismatch(
                 f"{self.owner.set_label(mask)} is not in {self.lattice.name}"
             ) from None
 
@@ -284,18 +279,16 @@ def ideal_lattice(
     return IdealLattice(A, kind, tuple(Ideal(A, m) for m in masks), lattice)
 
 
-BRUTEFORCE_CROSSCHECK_LIMIT = 12  # 2^n subset filter re-run below this size
-
-
 def enumerate_ideals(A: Source) -> IdealLattice:
     """All ideals of A with fully verified quantale structure.
 
     Ideals are found by closing generator sets (every ideal is reached by
-    adding one generator at a time), cross-checked against the exhaustive
-    subset filter at small sizes.  The quantale laws -- commutative monoid
-    with the whole carrier as unit, distribution over binary joins -- are
-    then checked exhaustively over the ideal indices.  Every closure reads
-    the analysis, so each distinct subset is closed once.
+    adding one generator at a time), checked at every size against the
+    kernels of ``Analysis.kernels``, maps into ``two()`` whose search closes
+    no subset.  The quantale laws -- commutative monoid with the whole
+    carrier as unit, distribution over binary joins -- are then checked
+    exhaustively over the ideal indices.  Every closure reads the analysis,
+    so each distinct subset is closed once.
     """
     an = analysis(A)
     A, close = an.owner, an.close
@@ -313,11 +306,10 @@ def enumerate_ideals(A: Source) -> IdealLattice:
         frontier = grown
 
     masks = sorted(seen, key=subset_key)
-    if A.n <= BRUTEFORCE_CROSSCHECK_LIMIT:
-        if masks != enumerate_ideals_bruteforce(A):
-            raise InternalMismatch(
-                f"closure enumeration disagrees with subset filter on {A.name}"
-            )
+    if masks != sorted((f.kernel_mask() for f in an.kernels), key=subset_key):
+        raise InternalMismatch(
+            f"{A.name}: closure enumeration and kernels of maps into two disagree"
+        )
     for mask in masks:
         if not is_ideal(A, mask):
             raise InternalMismatch(

@@ -310,7 +310,7 @@ def check_coherence(A: Source) -> CoherenceReport:
     iq = enumerate_ideals(L.semiring)
     try:
         forward = tuple(iq.index_of(L.lower_masks[r]) for r in range(L.n))
-    except OwnerMismatch as exc:
+    except InternalMismatch as exc:
         raise IsoFailure(f"{A.name}: downset map: {exc}") from exc
     check_lattice_iso(L, iq.lattice, forward, f"{A.name}: downset map")
     return CoherenceReport(radical_count=L.n, reflection_ideal_count=len(iq.ideals))

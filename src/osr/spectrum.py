@@ -1,9 +1,9 @@
 """Prime ideals, the spectrum topology, and the point/open-set duality.
 
 Prime ideals are proper ideals whose complement is closed under products;
-equivalently, subadditive morphisms to the two-element chain, and the two
-enumerations are cross-checked against each other.  The spectrum carries
-the topology generated by the basic opens D(x) of primes not containing x.
+equivalently, kernels of subadditive morphisms to the two-element chain,
+and the two are cross-checked against each other.  The spectrum carries the
+topology generated by the basic opens D(x) of primes not containing x.
 
 Points of a finite frame are computed through its meet-prime elements:
 the kernel of any frame map to the two-element chain is the principal
@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .analysis import Source, analysis
-from .builders import two
 from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
@@ -32,7 +31,6 @@ from .core import (
 )
 from .errors import InternalMismatch, IsoFailure
 from .ideals import Ideal, principal_ideal
-from .morphisms import enumerate_subadditive
 
 
 class FiniteTopSpace(Record):
@@ -109,15 +107,13 @@ def _is_prime_mask(A: FiniteOrderedSemiring, mask: int) -> bool:
 
 
 def enumerate_primes(A: Source) -> list[Ideal]:
-    """All prime ideals, cross-checked against the morphisms into the
-    two-element chain via the kernel correspondence."""
+    """All prime ideals, cross-checked against the kernels of the
+    subadditive morphisms among the analysis's ``kernels``."""
     an = analysis(A)
     A = an.owner
     primes = [I for I in an.ideals.ideals if _is_prime_mask(A, I.mask)]
-    kernels = sorted(
-        (f.kernel_mask() for f in enumerate_subadditive(A, two())), key=subset_key
-    )
-    if kernels != [I.mask for I in primes]:
+    kernels = {f.kernel_mask() for f in an.kernels if f.is_subadditive_morphism}
+    if kernels != {I.mask for I in primes}:
         raise InternalMismatch(
             f"{A.name}: prime ideals and two-valued subadditive morphisms disagree"
         )

@@ -28,6 +28,7 @@ from osr.ideals import (
     generated_ideal,
     ideal_product,
 )
+from osr.morphisms import MorphismTable
 from osr.radicals import small_distributive_lattices
 from osr.report import (
     CHECK_NAMES,
@@ -77,8 +78,11 @@ def test_run_checks_builds_each_structure_once(monkeypatch):
 
 
 def test_structure_failure_becomes_failed_verdicts(monkeypatch, capsys):
-    # no two-valued morphisms: the prime cross-check fails on zmod:6
-    monkeypatch.setattr(osr.spectrum, "enumerate_subadditive", lambda A, B: [])
+    # no map into two() is a subadditive morphism: the prime cross-check
+    # fails on zmod:6
+    monkeypatch.setattr(
+        MorphismTable, "is_subadditive_morphism", property(lambda t: False)
+    )
 
     report = run_checks(osr.build_zmod(6))
     assert tuple(v.check for v in report.verdicts) == CHECK_NAMES
@@ -189,21 +193,28 @@ def test_each_universality_pair_is_checked_once(monkeypatch):
 
 
 def test_each_target_semiring_is_searched_once(monkeypatch):
-    original = osr.morphisms.enumerate_subadditive
     calls = []
+    for name in ("enumerate_subadditive", "enumerate_sub_submul"):
+        original = getattr(osr.morphisms, name)
 
-    def counted(A, B, strict_zero=False):
-        calls.append((B, strict_zero))
-        return original(A, B, strict_zero)
+        def counted(A, B, *args, _name=name, _original=original):
+            calls.append((_name, A.name, B, *args))
+            return _original(A, B, *args)
 
-    for mod in [m for key, m in sys.modules.items() if key.startswith("osr")]:
-        if getattr(mod, "enumerate_subadditive", None) is original:
-            monkeypatch.setattr(mod, "enumerate_subadditive", counted)
+        for mod in [m for key, m in sys.modules.items() if key.startswith("osr")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
 
     assert run_checks(osr.build_zmod(6)).all_passed
+    # the coherence check also analyses the reflection's own semiring
+    calls = [call for call in calls if call[1] == "zmod6"]
+    assert len(calls) == len(set(calls))
     # 6 distinct universality targets, chain2 and chain3 shared by both
-    # adjunctions and the reflection, and the primes' search into two()
-    assert len(calls) == len(set(calls)) == 7
+    # adjunctions and the reflection, and one search into two() that checks
+    # both the ideals and the primes
+    searches = Counter(name for name, *_ in calls)
+    assert searches == {"enumerate_subadditive": 6, "enumerate_sub_submul": 1}
+    assert ("enumerate_sub_submul", "zmod6", osr.two()) in calls
     assert osr.two() is osr.two()
 
 
