@@ -9,7 +9,8 @@ structures are frozen; axiom checking is always exhaustive -- at desk scale
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -73,6 +74,19 @@ def bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def gather(idx: Iterable[int]) -> Callable[[Sequence], tuple]:
+    """``gather(idx)(seq)`` is ``tuple(seq[i] for i in idx)``, at C speed."""
+    idx = tuple(idx)
+    if len(idx) == 1:  # itemgetter of one index returns the item, not a tuple
+        return lambda seq, i=idx[0]: (seq[i],)
+    return itemgetter(*idx)
+
+
+def image(T: Table, g: Callable[[Sequence], tuple]) -> tuple[int, ...]:
+    """``T[v[i]][v[j]]`` for all ``i, j`` (row-major), where ``g = gather(v)``."""
+    return tuple(chain.from_iterable(map(g, g(T))))
 
 
 def bits_label(mask: int) -> str:
@@ -213,6 +227,18 @@ class FiniteOrderedSemiring(Record):
                 p = self.mul[p][x]
             out.append(mask)
         return tuple(out)
+
+    @cached_property
+    def order_pairs(self) -> frozenset[tuple[int, int]]:
+        """Every pair ``(i, j)`` with ``i <= j``."""
+        return frozenset((i, j) for i in range(self.n) for j in bits(self.leq[i]))
+
+    @cached_property
+    def gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
+        """``gather``s of the flat ``add`` and ``mul`` tables and of the two
+        sides of ``order_pairs``: a value array's images of all of them."""
+        low, high = zip(*self.order_pairs)
+        return tuple(map(gather, (chain(*self.add), chain(*self.mul), low, high)))
 
     @property
     def is_discrete(self) -> bool:
@@ -443,6 +469,11 @@ class FiniteLattice(Record):
         from .builders import build_from_quantale
 
         return build_from_quantale(self)
+
+    @cached_property
+    def gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
+        """``gather``s of the flat ``join`` and ``mul`` tables."""
+        return gather(chain(*self.join)), gather(chain(*self.mul))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:

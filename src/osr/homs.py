@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import FiniteLattice
+from .core import FiniteLattice, gather, image
 from .errors import InternalMismatch, NotAQuantale, UniversalityFailure
 from .morphisms import MorphismTable
 from .search import forward_search
@@ -39,20 +39,19 @@ class LatticeHom(NamedTuple):
 
 
 def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, values) -> bool:
-    """Exhaustive check: preserves binary joins, bottom, unit, and product."""
+    """Exhaustive check: preserves binary joins, bottom, unit, and product.
+
+    Every pair is compared, one gather per table and one comparison: the
+    images of L's joins (products) against Q's joins (products) of images."""
     if values[L.bottom] != Q.bottom:
         return False
     if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
         raise NotAQuantale("both lattices must carry a multiplication")
     if values[L.unit] != Q.unit:
         return False
-    for i in range(L.n):
-        for j in range(L.n):
-            if values[L.join[i][j]] != Q.join[values[i]][values[j]]:
-                return False
-            if values[L.mul[i][j]] != Q.mul[values[i]][values[j]]:
-                return False
-    return True
+    gjoin, gmul = L.gathers
+    g = gather(values)
+    return gjoin(values) == image(Q.join, g) and gmul(values) == image(Q.mul, g)
 
 
 def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeHom]:
@@ -100,10 +99,9 @@ def join_extension(
     L: IdealLattice, target: FiniteLattice, f_values
 ) -> tuple[int, ...]:
     """The map sending each ideal of ``L`` to the join in ``target`` of the
-    images ``f_values`` of its members, as target indices."""
-    return tuple(
-        target.join_of(f_values[x] for x in members) for members in L.members
-    )
+    images ``f_values`` of its members, as target indices.  Each ideal's
+    member images are one gather; the fold joins each distinct one once."""
+    return tuple(target.join_of(set(g(f_values))) for g in L.member_gathers)
 
 
 def check_universal_property(
@@ -126,10 +124,11 @@ def check_universal_property(
     A = L.owner
     homs = enumerate_quantale_homs(L.lattice, target)
     morphism_values = {m.values: m for m in morphisms}
+    along_universal = gather(universal_values)  # h |-> h . universal
 
     seen = set()
     for g in homs:
-        f_vals = tuple(g.values[universal_values[x]] for x in range(A.n))
+        f_vals = along_universal(g.values)
         if f_vals not in morphism_values:
             raise UniversalityFailure(
                 f"{A.name}: composite of hom {list(g.values)} with the universal "
@@ -150,7 +149,7 @@ def check_universal_property(
                 f"{A.name}: join extension of morphism {list(f.values)} into "
                 f"{target.name} is not a homomorphism"
             )
-        back = tuple(ext[universal_values[x]] for x in range(A.n))
+        back = along_universal(ext)
         if back != f.values:
             raise UniversalityFailure(
                 f"{A.name}: triangle fails for morphism {list(f.values)} into "

@@ -25,6 +25,7 @@ from .core import (
     Record,
     Table,
     bits,
+    gather,
     subset_key,
     subset_lattice,
 )
@@ -244,9 +245,9 @@ class IdealLattice(Record):
         return {I.mask: i for i, I in enumerate(self.ideals)}
 
     @cached_property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """Each ideal's members, in the order of ``ideals``."""
-        return tuple(I.members for I in self.ideals)
+    def member_gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
+        """A ``gather`` of each ideal's members, in the order of ``ideals``."""
+        return tuple(gather(I.members) for I in self.ideals)
 
     def index_of(self, mask: int) -> int:
         """The index of an ideal the library computed; a miss is a fault."""

@@ -3,8 +3,10 @@
 A subadditive morphism is monotone with f(0) <= 0, f(1) = 1,
 f(x+y) <= f(x)+f(y) and f(xy) = f(x)f(y).  A homomorphism additionally has
 f(0) = 0 and f(x+y) = f(x)+f(y).  Classification flags are always computed
-exhaustively over all element pairs.  Enumeration runs the forward-checking
-engine of ``search`` and reclassifies every map it finds.
+exhaustively over all element pairs, each law as C-level gathers of whole
+tables (``core.gather``, ``core.image``) and one comparison.  Enumeration
+runs the forward-checking engine of ``search`` and reclassifies every map it
+finds.
 
 The fixed global convention tying morphisms to ideals is f <-> f^{-1}(0):
 a map to the two-element chain classifies the ideal of elements sent to
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import FiniteOrderedSemiring, bits
+from .core import FiniteOrderedSemiring, gather, image
 from .errors import EndpointMismatch, InternalMismatch
 from .search import forward_search
 
@@ -87,54 +89,37 @@ class MorphismTable(NamedTuple):
 def classify(
     A: FiniteOrderedSemiring, B: FiniteOrderedSemiring, values
 ) -> MorphismTable:
-    """Compute every classification flag for the raw value array."""
+    """Compute every classification flag for the raw value array.
+
+    Each flag covers every element pair in one gather per table and one
+    comparison: ``A.gathers`` and ``image`` give both sides of every law as
+    tuples.  An inequality (one ``issuperset`` of ``B.order_pairs``) is only
+    tested where its equation fails, since B's order is reflexive."""
     values = tuple(values)
-    if len(values) != A.n or any(not 0 <= v < B.n for v in values):
+    if len(values) != A.n or min(values) < 0 or max(values) >= B.n:
         raise EndpointMismatch(
             f"value array of length {len(values)} does not map {A.name} into {B.name}"
         )
-    bleq = B.leq  # bleq[u] >> v & 1 iff u <= v in B
-    monotone = all(
-        bleq[values[i]] >> values[j] & 1 for i in range(A.n) for j in bits(A.leq[i])
-    )
+    gadd, gmul, low, high = A.gathers
+    g = gather(values)
+    sums, prods = gadd(values), gmul(values)
+    target_sums, target_prods = image(B.add, g), image(B.mul, g)
+    additive, multiplicative = sums == target_sums, prods == target_prods
+    below = B.order_pairs.issuperset
     f0, f1 = values[A.zero], values[A.one]
-    subadd = True
-    add_ok = True
-    mul_ok = True
-    submul = True
-    for x in range(A.n):
-        fx = values[x]
-        add_row, mul_row = A.add[x], A.mul[x]
-        sum_row, prod_row = B.add[fx], B.mul[fx]
-        for y in range(A.n):
-            fy = values[y]
-            s = values[add_row[y]]
-            p = values[mul_row[y]]
-            ts = sum_row[fy]
-            tp = prod_row[fy]
-            if s != ts:
-                add_ok = False
-            if not bleq[s] >> ts & 1:
-                subadd = False
-            if p != tp:
-                mul_ok = False
-            if not bleq[p] >> tp & 1:
-                submul = False
-        if not (subadd or submul):
-            break
     return MorphismTable(
         source=A,
         target=B,
         values=values,
-        monotone=monotone,
+        monotone=below(zip(low(values), high(values))),
         zero_subzero=B.le(f0, B.zero),
         zero_strict=f0 == B.zero,
         unit_strict=f1 == B.one,
         unit_subunit=B.le(f1, B.one),
-        subadditive=subadd,
-        additive=add_ok,
-        multiplicative=mul_ok,
-        submultiplicative=submul,
+        subadditive=additive or below(zip(sums, target_sums)),
+        additive=additive,
+        multiplicative=multiplicative,
+        submultiplicative=multiplicative or below(zip(prods, target_prods)),
     )
 
 

@@ -9,9 +9,11 @@ import osr
 import osr.homs
 import osr.ideals
 from osr.errors import InternalMismatch, PresentationViolation, UniversalityFailure
-from osr.homs import enumerate_quantale_homs, is_quantale_hom
+from osr.homs import enumerate_quantale_homs, is_quantale_hom, join_extension
 from osr.ideals import enumerate_ideals
-from osr.report import CHECK_NAMES, run_checks
+from osr.morphisms import enumerate_subadditive
+from osr.radicals import small_distributive_lattices
+from osr.report import CHECK_NAMES, quantale_targets, run_checks
 
 
 def all_homs_bruteforce(L, Q):
@@ -20,6 +22,20 @@ def all_homs_bruteforce(L, Q):
         if is_quantale_hom(L, Q, values):
             out.append(values)
     return sorted(out)
+
+
+def quantale_hom_by_pair_walk(L, Q, values):
+    """``is_quantale_hom`` as a loop over every pair of elements of L."""
+    return (
+        values[L.bottom] == Q.bottom
+        and values[L.unit] == Q.unit
+        and all(
+            values[L.join[i][j]] == Q.join[values[i]][values[j]]
+            and values[L.mul[i][j]] == Q.mul[values[i]][values[j]]
+            for i in range(L.n)
+            for j in range(L.n)
+        )
+    )
 
 
 def small_lattices():
@@ -125,3 +141,45 @@ def test_universality_failure_path_is_shared(monkeypatch):
     f = osr.classify(A, osr.build_from_quantale(Q), (0, 1, 0, 1, 0, 1))
     with pytest.raises(InternalMismatch):
         osr.extend_to_quantale_hom(f, Q, osr.enumerate_ideals(A))
+
+
+def test_is_quantale_hom_matches_the_pair_walk_on_every_map():
+    lattices = (*small_distributive_lattices(), *quantale_targets())
+    for L in lattices:
+        for Q in quantale_targets():
+            for a, b in ((L, Q), (Q, L)):
+                for values in product(range(b.n), repeat=a.n):
+                    want = quantale_hom_by_pair_walk(a, b, values)
+                    assert is_quantale_hom(a, b, values) == want, (a.name, b.name)
+
+
+def test_is_quantale_hom_sees_one_wrong_table_entry():
+    # the identity, checked against a copy of its source with one entry of
+    # the join or product table changed, fails at that entry only
+    for Q in (*quantale_targets(), *small_distributive_lattices()):
+        ident = tuple(range(Q.n))
+        assert is_quantale_hom(Q, Q, ident)
+        if Q.n == 1:
+            continue  # no other value to put in the one entry
+        pairs = [(i, j) for i in range(Q.n) for j in range(Q.n)]
+        assert pairs[-1] == (Q.n - 1, Q.n - 1)
+        for field in ("join", "mul"):
+            for i, j in pairs:
+                table = [list(row) for row in getattr(Q, field)]
+                table[i][j] = (table[i][j] + 1) % Q.n
+                wrong = Q._replace(**{field: tuple(map(tuple, table))})
+                assert not quantale_hom_by_pair_walk(wrong, Q, ident)
+                assert not is_quantale_hom(wrong, Q, ident), (Q.name, field, i, j)
+
+
+def test_join_extension_matches_the_member_fold():
+    A = osr.build_chain_lattice(9)
+    grid = osr.downset_frame(3, [(0, 1)], name="grid2x3")
+    morphisms = enumerate_subadditive(A, grid.semiring)
+    assert morphisms
+    for L in (enumerate_ideals(A), osr.enumerate_radical_ideals(A)):
+        for f in morphisms:
+            fold = tuple(
+                grid.join_of(f.values[x] for x in I.members) for I in L.ideals
+            )
+            assert join_extension(L, grid, f.values) == fold

@@ -1,12 +1,17 @@
 """Classification and enumeration of semiring maps."""
 
+import random
+from itertools import product
+
 import pytest
 
 import osr
 from osr import classify, compose, enumerate_sub_submul, enumerate_subadditive, two
+from osr.core import bits
 from osr.errors import EndpointMismatch
 
 from .oracle import sub_submul_maps_bruteforce, subadditive_maps_bruteforce
+from .test_preorders import glued_truncnat3, indiscrete_z2
 
 
 def kernel_labels(table):
@@ -147,3 +152,76 @@ def test_strict_zero_mode_agrees_on_antisymmetric_targets():
             t.values for t in enumerate_subadditive(A, two(), strict_zero=True)
         ]
         assert relaxed == strict
+
+
+def classify_by_pair_walk(A, B, values):
+    """The values and nine flags of ``classify``, by the element-pair loop
+    ``classify`` ran before it gathered whole tables (copied from it)."""
+    bleq = B.leq  # bleq[u] >> v & 1 iff u <= v in B
+    monotone = all(
+        bleq[values[i]] >> values[j] & 1 for i in range(A.n) for j in bits(A.leq[i])
+    )
+    f0, f1 = values[A.zero], values[A.one]
+    subadd = True
+    add_ok = True
+    mul_ok = True
+    submul = True
+    for x in range(A.n):
+        fx = values[x]
+        add_row, mul_row = A.add[x], A.mul[x]
+        sum_row, prod_row = B.add[fx], B.mul[fx]
+        for y in range(A.n):
+            fy = values[y]
+            s = values[add_row[y]]
+            p = values[mul_row[y]]
+            ts = sum_row[fy]
+            tp = prod_row[fy]
+            if s != ts:
+                add_ok = False
+            if not bleq[s] >> ts & 1:
+                subadd = False
+            if p != tp:
+                mul_ok = False
+            if not bleq[p] >> tp & 1:
+                submul = False
+        if not (subadd or submul):
+            break
+    return (
+        tuple(values),
+        monotone,
+        B.le(f0, B.zero),
+        f0 == B.zero,
+        f1 == B.one,
+        B.le(f1, B.one),
+        subadd,
+        add_ok,
+        mul_ok,
+        submul,
+    )
+
+
+def test_classify_matches_the_pair_walk_on_every_small_map():
+    family = [*osr.builtin_family(3), indiscrete_z2(), glued_truncnat3()]
+    assert {A.n for A in family} >= {1, 4}  # one-index gathers included
+    for A in family:
+        for B in family:
+            for values in product(range(B.n), repeat=A.n):
+                got = classify(A, B, values)
+                assert tuple(got)[2:] == classify_by_pair_walk(A, B, values)
+            for bad in (-1, B.n):
+                with pytest.raises(EndpointMismatch):
+                    classify(A, B, (bad,) + (0,) * (A.n - 1))
+                with pytest.raises(EndpointMismatch):
+                    classify(A, B, (0,) * (A.n - 1) + (bad,))
+
+
+def test_classify_matches_the_pair_walk_on_random_maps():
+    rng = random.Random(12)
+    family = osr.builtin_family(6)
+    for A in family:
+        for B in family:
+            # 500 arrays drawn as base-|B| numbers; a repeat is checked once
+            for code in {rng.randrange(B.n**A.n) for _ in range(500)}:
+                values = tuple(code // B.n**i % B.n for i in range(A.n))
+                got = classify(A, B, values)
+                assert tuple(got)[2:] == classify_by_pair_walk(A, B, values)

@@ -1,6 +1,8 @@
 """The forward-checking search engine: raw-search guard, node budget, leaf
 cross-check, and the carrier sizes it makes reachable."""
 
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +81,20 @@ def test_run_checks_passes_above_nine_elements(spec):
 def test_primes_at_the_carrier_cap(capsys):
     assert main(["primes", "--builder", "zmod:24", "--json"]) == 0
     assert '"count": 2' in capsys.readouterr().out
+
+
+def test_engine_and_oracles_do_not_use_the_leaf_gathers():
+    # classify, is_quantale_hom and join_extension read whole tables through
+    # core.gather and core.image; the engine whose leaves they re-check and
+    # the raw oracles must not, or one fault there could hide in both
+    leaf_names = {"gather", "image", "gathers", "member_gathers", "order_pairs"}
+    for path in (Path(osr.search.__file__), Path(__file__).with_name("oracle.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+        assert not names & leaf_names, path.name
