@@ -8,9 +8,9 @@ universal-property result (``universality``) and the subadditive morphisms
 those results compare against, one list per target semiring and zero-axiom
 variant, each with the failure its build raised, if any.  All of it dies
 with the analysis, so a new analysis of the same semiring verifies
-everything again.  The only thing kept per process is the fixed stock of
-target lattices, their semirings and ``two()``, none of which depends on any
-instance.  The constructors live in modules that build on this one, so each
+everything again.  The only things kept per process are the fixed stock of
+target lattices, their semirings and ``two()``, and the report's subset
+samples, none of which depends on any instance.  The constructors live in modules that build on this one, so each
 is imported when first used.
 """
 

@@ -136,18 +136,26 @@ def generated_ideal(A: Source, members: Members) -> Ideal:
     return Ideal(an.owner, an.close(as_mask(members)))
 
 
+def product_set(A: FiniteOrderedSemiring, members: Members) -> frozenset[int]:
+    """Every product ``s*y`` with ``s`` in the subset and ``y`` in A: the
+    entries of the rows ``s`` of the multiplication table."""
+    return frozenset().union(*(A.mul[s] for s in bits(as_mask(members))))
+
+
 def generated_ideal_by_sums(A: FiniteOrderedSemiring, members: Members) -> int:
     """Independent oracle: elements below some finite sum s1*y1 + ... + sm*ym.
 
-    Sums of length at most ``|A|`` suffice because the set of reachable
-    partial sums grows monotonically inside the carrier; stability at the
-    cutoff is asserted rather than assumed.  The rounds are semi-naive:
-    each adds ``t + p`` only for the sums ``t`` new since the round before,
-    since every older sum was extended then; so each sum is extended once.
+    The subset is read only through its ``product_set``, so two subsets
+    with the same products generate the same ideal; the generated-ideal
+    verdict evaluates this once per distinct product set.  Sums of length
+    at most ``|A|`` suffice because the set of reachable partial sums grows
+    monotonically inside the carrier; stability at the cutoff is asserted
+    rather than assumed.  The rounds are semi-naive: each adds ``t + p``
+    only for the sums ``t`` new since the round before, since every older
+    sum was extended then; so each sum is extended once.
     """
     add = A.add
-    # the products s*y, y ranging over A, are the entries of row s
-    prods = set().union(*(A.mul[s] for s in bits(as_mask(members))))
+    prods = product_set(A, members)
     sums, new = {A.zero}, {A.zero}
     for _ in range(A.n):
         new = {add[t][p] for t in new for p in prods} - sums
@@ -319,9 +327,17 @@ def enumerate_ideals(A: Source) -> IdealLattice:
 
     index = {m: i for i, m in enumerate(masks)}
     ideals = [Ideal(A, m) for m in masks]
-    product = tuple(
-        tuple(index[ideal_product(an, I, J).mask] for J in ideals) for I in ideals
-    )
+
+    def product_index(I: Ideal, J: Ideal) -> int:
+        K = ideal_product(an, I, J)
+        if K.mask not in index:
+            raise InternalMismatch(
+                f"{I.label}.{J.label} = {K.label} is not among the enumerated "
+                f"ideals of {A.name}"
+            )
+        return index[K.mask]
+
+    product = tuple(tuple(product_index(I, J) for J in ideals) for I in ideals)
     return ideal_lattice(A, "ideals", masks, close, product)
 
 

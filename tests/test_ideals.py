@@ -18,8 +18,9 @@ from osr import (
     principal_ideal,
     two,
 )
+from osr.core import bits
 from osr.errors import NotIntegral, NotSubadditive, OwnerMismatch
-from osr.ideals import Ideal
+from osr.ideals import Ideal, product_set
 from osr.morphisms import classify
 
 from .oracle import ideal_masks_bruteforce
@@ -94,9 +95,24 @@ def _sums_naive(A, seed):
 
 
 def test_semi_naive_sums_match_the_naive_fixed_point():
-    for A in osr.builtin_family(5):
+    """Every subset, grouped by its products, over the family and two
+    genuine preorders: the oracle reads a subset only through its product
+    set, so each group gets one value, the naive fixed point's."""
+    from .test_preorders import glued_truncnat3, indiscrete_z2
+
+    shared = 0
+    for A in [*osr.builtin_family(5), indiscrete_z2(), glued_truncnat3()]:
+        groups = {}
         for seed in range(1 << A.n):
-            assert generated_ideal_by_sums(A, seed) == _sums_naive(A, seed)
+            products = {A.mul[s][y] for s in bits(seed) for y in range(A.n)}
+            assert product_set(A, seed) == products
+            groups.setdefault(frozenset(products), []).append(seed)
+        for seeds in groups.values():
+            assert {generated_ideal_by_sums(A, seed) for seed in seeds} == {
+                _sums_naive(A, seeds[0])
+            }
+        shared += (1 << A.n) - len(groups)
+    assert shared > 0  # some subsets do share their products
 
 
 def test_multiples_are_the_principal_ideals(family8):
