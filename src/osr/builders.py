@@ -1,23 +1,26 @@
 """Built-in example constructions.
 
-Every builder assembles a RawSemiringDescription and funnels it through
-``validate``, so the exhaustive axiom check is re-run on each construction
-rather than assumed.  Builders are deterministic: the same parameters give
-identical tables.
+Every semiring builder gives ``_semiring`` its labels and operations on
+element indices; ``_semiring`` checks the size guardrail, builds the label
+tables and funnels them through ``validate``, so the exhaustive axiom check
+is re-run on each construction rather than assumed.  Builders are
+deterministic: the same parameters give identical tables.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
     RawSemiringDescription,
     Table,
+    _check_size,
     bits,
     bits_label,
+    inclusion_order,
     lattice_from_order,
     lower_masks,
     subset_key,
@@ -26,27 +29,48 @@ from .core import (
 )
 from .errors import LabelError, NotAPartialOrder, NotAQuantale
 
+_Op = Callable[[int, int], int]
+
+
+def _semiring(
+    name: str,
+    n: int,
+    label: Callable[[int], str],
+    le: Union[str, Sequence[int]],
+    zero: int,
+    one: int,
+    add: _Op,
+    mul: _Op,
+) -> FiniteOrderedSemiring:
+    """The validated semiring on elements ``0..n-1``.  ``label``, ``add`` and
+    ``mul`` are functions of element indices; ``le`` is an order keyword or
+    bitmask order rows.  The size guardrail refuses before any table exists.
+    """
+    _check_size(n)
+    lab = tuple(map(label, range(n)))
+    span = range(n)
+    if not isinstance(le, str):
+        pairs = tuple((lab[i], lab[j]) for i in span for j in bits(le[i]) if i != j)
+        le = pairs or "discrete"
+    add_table = tuple(tuple(lab[add(i, j)] for j in span) for i in span)
+    mul_table = tuple(tuple(lab[mul(i, j)] for j in span) for i in span)
+    return validate(
+        RawSemiringDescription(name, lab, le, lab[zero], lab[one], add_table, mul_table)
+    )
+
 
 def build_zmod(m: int) -> FiniteOrderedSemiring:
     """The ring of integers mod ``m`` as a discretely ordered semiring."""
     if m < 1:
         raise LabelError("modulus must be >= 1")
-    lab = tuple(str(i) for i in range(m))
-    return validate(
-        RawSemiringDescription(
-            name=f"zmod{m}",
-            elements=lab,
-            le="discrete",
-            zero="0",
-            one=lab[1 % m],
-            add_table=tuple(
-                tuple(str((i + j) % m) for j in range(m)) for i in range(m)
-            ),
-            mul_table=tuple(
-                tuple(str((i * j) % m) for j in range(m)) for i in range(m)
-            ),
-        )
-    )
+
+    def add(i: int, j: int) -> int:
+        return (i + j) % m
+
+    def mul(i: int, j: int) -> int:
+        return i * j % m
+
+    return _semiring(f"zmod{m}", m, str, "discrete", 0, 1 % m, add, mul)
 
 
 def build_chain_lattice(k: int) -> FiniteOrderedSemiring:
@@ -57,22 +81,7 @@ def build_chain_lattice(k: int) -> FiniteOrderedSemiring:
     """
     if k < 1:
         raise LabelError("chain length must be >= 1")
-    lab = tuple(str(i) for i in range(k))
-    return validate(
-        RawSemiringDescription(
-            name=f"chain{k}",
-            elements=lab,
-            le="chain",
-            zero="0",
-            one=lab[-1],
-            add_table=tuple(
-                tuple(str(max(i, j)) for j in range(k)) for i in range(k)
-            ),
-            mul_table=tuple(
-                tuple(str(min(i, j)) for j in range(k)) for i in range(k)
-            ),
-        )
-    )
+    return _semiring(f"chain{k}", k, str, "chain", 0, k - 1, max, min)
 
 
 @cache
@@ -82,14 +91,23 @@ def two() -> FiniteOrderedSemiring:
     return build_chain_lattice(2)
 
 
-def _downsets(npoints: int, closed_rows: Sequence[int]) -> list[int]:
-    """All downward-closed subsets of a poset, sorted canonically."""
-    out = []
-    for s in range(1 << npoints):
-        if all(closed_rows[j] & ~s == 0 for j in bits(s)):
-            out.append(s)
-    out.sort(key=subset_key)
-    return out
+def _subset_semiring(
+    name: str, subsets: Sequence[int], le: Union[str, Sequence[int]], add: _Op
+) -> FiniteOrderedSemiring:
+    """The semiring on a family of subsets, listed canonically from the empty
+    set to the whole, with order ``le``: ``add`` on masks, intersection as
+    multiplication."""
+    idx = {s: i for i, s in enumerate(subsets)}
+    return _semiring(
+        name,
+        len(subsets),
+        lambda i: bits_label(subsets[i]),
+        le,
+        0,
+        len(subsets) - 1,
+        lambda i, j: idx[add(subsets[i], subsets[j])],
+        lambda i, j: idx[subsets[i] & subsets[j]],
+    )
 
 
 def build_dlat_from_poset(
@@ -113,32 +131,17 @@ def build_dlat_from_poset(
         for j in bits(closed[i]):
             if i != j and closed[j] >> i & 1:
                 raise NotAPartialOrder(f"cycle through points {i} and {j}")
-    downs = _downsets(npoints, lower_masks(closed))
-    lab = tuple(bits_label(s) for s in downs)
-    idx = {s: i for i, s in enumerate(downs)}
-    pairs = tuple(
-        (lab[i], lab[j])
-        for i, s in enumerate(downs)
-        for j, t in enumerate(downs)
-        if i != j and s & ~t == 0
-    )
     strict = "".join(
         f"{i}{j}" for i in range(npoints) for j in bits(closed[i]) if i != j
     )
-    return validate(
-        RawSemiringDescription(
-            name=f"downsets{npoints}" + (f"-{strict}" if strict else ""),
-            elements=lab,
-            le=pairs if pairs else "discrete",
-            zero=lab[0],
-            one=lab[-1],
-            add_table=tuple(
-                tuple(lab[idx[s | t]] for t in downs) for s in downs
-            ),
-            mul_table=tuple(
-                tuple(lab[idx[s & t]] for t in downs) for s in downs
-            ),
-        )
+    lower = lower_masks(closed)
+    downs = [s for s in range(1 << npoints) if all(lower[j] & ~s == 0 for j in bits(s))]
+    downs.sort(key=subset_key)
+    return _subset_semiring(
+        f"downsets{npoints}" + (f"-{strict}" if strict else ""),
+        downs,
+        inclusion_order(downs),
+        int.__or__,
     )
 
 
@@ -150,23 +153,7 @@ def build_boolean_ring(atoms: int) -> FiniteOrderedSemiring:
     if not 1 <= atoms <= 3:
         raise LabelError("atoms must be between 1 and 3")
     subsets = sorted(range(1 << atoms), key=subset_key)
-    lab = tuple(bits_label(s) for s in subsets)
-    idx = {s: i for i, s in enumerate(subsets)}
-    return validate(
-        RawSemiringDescription(
-            name=f"bool{atoms}",
-            elements=lab,
-            le="discrete",
-            zero=lab[0],
-            one=lab[-1],
-            add_table=tuple(
-                tuple(lab[idx[s ^ t]] for t in subsets) for s in subsets
-            ),
-            mul_table=tuple(
-                tuple(lab[idx[s & t]] for t in subsets) for s in subsets
-            ),
-        )
-    )
+    return _subset_semiring(f"bool{atoms}", subsets, "discrete", int.__xor__)
 
 
 def build_truncated_naturals(cap: int) -> FiniteOrderedSemiring:
@@ -177,24 +164,14 @@ def build_truncated_naturals(cap: int) -> FiniteOrderedSemiring:
     """
     if cap < 1:
         raise LabelError("cap must be >= 1")
-    lab = tuple(str(i) for i in range(cap + 1))
-    return validate(
-        RawSemiringDescription(
-            name=f"truncnat{cap}",
-            elements=lab,
-            le="chain",
-            zero="0",
-            one="1",
-            add_table=tuple(
-                tuple(str(min(i + j, cap)) for j in range(cap + 1))
-                for i in range(cap + 1)
-            ),
-            mul_table=tuple(
-                tuple(str(min(i * j, cap)) for j in range(cap + 1))
-                for i in range(cap + 1)
-            ),
-        )
-    )
+
+    def add(i: int, j: int) -> int:
+        return min(i + j, cap)
+
+    def mul(i: int, j: int) -> int:
+        return min(i * j, cap)
+
+    return _semiring(f"truncnat{cap}", cap + 1, str, "chain", 0, 1, add, mul)
 
 
 def build_truncated_maxplus(cap: int) -> FiniteOrderedSemiring:
@@ -206,28 +183,14 @@ def build_truncated_maxplus(cap: int) -> FiniteOrderedSemiring:
     """
     if cap < 1:
         raise LabelError("cap must be >= 1")
-    lab = ("-inf",) + tuple(str(i) for i in range(cap + 1))
-    n = cap + 2
 
-    def add(i: int, j: int) -> str:  # max in chain position
-        return lab[max(i, j)]
+    def label(i: int) -> str:  # index i > 0 is the number i - 1
+        return str(i - 1) if i else "-inf"
 
-    def mul(i: int, j: int) -> str:
-        if i == 0 or j == 0:
-            return "-inf"
-        return lab[min((i - 1) + (j - 1), cap) + 1]
+    def mul(i: int, j: int) -> int:
+        return min(i + j - 2, cap) + 1 if i and j else 0
 
-    return validate(
-        RawSemiringDescription(
-            name=f"maxplus{cap}",
-            elements=lab,
-            le="chain",
-            zero="-inf",
-            one="0",
-            add_table=tuple(tuple(add(i, j) for j in range(n)) for i in range(n)),
-            mul_table=tuple(tuple(mul(i, j) for j in range(n)) for i in range(n)),
-        )
-    )
+    return _semiring(f"maxplus{cap}", cap + 2, label, "chain", 0, 1, max, mul)
 
 
 def build_from_quantale(Q: FiniteLattice) -> FiniteOrderedSemiring:
@@ -238,20 +201,16 @@ def build_from_quantale(Q: FiniteLattice) -> FiniteOrderedSemiring:
     """
     if Q.mul is None or Q.unit is None:
         raise NotAQuantale(f"{Q.name} carries no multiplication")
-    lab = Q.labels
-    pairs = tuple(
-        (lab[i], lab[j]) for i in range(Q.n) for j in bits(Q.leq[i]) if i != j
-    )
-    return validate(
-        RawSemiringDescription(
-            name=f"osr({Q.name})",
-            elements=lab,
-            le=pairs if pairs else "discrete",
-            zero=lab[Q.bottom],
-            one=lab[Q.unit],
-            add_table=tuple(tuple(lab[v] for v in row) for row in Q.join),
-            mul_table=tuple(tuple(lab[v] for v in row) for row in Q.mul),
-        )
+    join, mul = Q.join, Q.mul
+    return _semiring(
+        f"osr({Q.name})",
+        Q.n,
+        Q.labels.__getitem__,
+        Q.leq,
+        Q.bottom,
+        Q.unit,
+        lambda i, j: join[i][j],
+        lambda i, j: mul[i][j],
     )
 
 
@@ -279,25 +238,23 @@ def build_dual_chain(k: int) -> FiniteOrderedSemiring:
 # --- lattice-side builders (morphism targets, quantale inputs) ---------------
 
 
+def _frame(D: FiniteOrderedSemiring, name: str) -> FiniteLattice:
+    """A semiring whose addition is join and multiplication meet, as a frame."""
+    return lattice_from_order(
+        D.labels, D.leq, mul=D.mul, unit=D.one, name=name or D.name
+    )
+
+
 def chain_frame(k: int, name: str = "") -> FiniteLattice:
     """The k-chain as a frame (meet as multiplication, unit = top)."""
-    if k < 1:
-        raise LabelError("chain length must be >= 1")
-    lab = tuple(str(i) for i in range(k))
-    leq = tuple(((1 << k) - 1) & ~((1 << i) - 1) for i in range(k))
-    meet: Table = tuple(tuple(min(i, j) for j in range(k)) for i in range(k))
-    return lattice_from_order(lab, leq, mul=meet, unit=k - 1, name=name or f"chain{k}")
+    return _frame(build_chain_lattice(k), name)
 
 
 def downset_frame(
     npoints: int, relation: Iterable[tuple[int, int]], name: str = ""
 ) -> FiniteLattice:
     """Downset lattice of a finite poset as a frame."""
-    D = build_dlat_from_poset(npoints, relation)
-    meet = D.mul
-    return lattice_from_order(
-        D.labels, D.leq, mul=meet, unit=D.one, name=name or D.name
-    )
+    return _frame(build_dlat_from_poset(npoints, relation), name)
 
 
 def diamond_frame() -> FiniteLattice:
@@ -344,11 +301,9 @@ def builtin_family(max_size: int = 8) -> list[FiniteOrderedSemiring]:
         if 1 << atoms <= max_size:
             out.append(build_boolean_ring(atoms))
     for cap in range(1, max_size):
-        if cap + 1 <= max_size:
-            out.append(build_truncated_naturals(cap))
+        out.append(build_truncated_naturals(cap))
     for cap in range(1, max_size - 1):
-        if cap + 2 <= max_size:
-            out.append(build_truncated_maxplus(cap))
+        out.append(build_truncated_maxplus(cap))
     for k in range(2, min(4, max_size) + 1):
         out.append(build_dual_chain(k))
     if max_size >= 3:

@@ -94,13 +94,9 @@ def bits_label(mask: int) -> str:
     return "{" + ",".join(str(i) for i in bits(mask)) + "}"
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def subset_key(mask: int) -> tuple[int, int]:
     """Canonical sort key for carrier subsets: by size, then by bitmask."""
-    return (popcount(mask), mask)
+    return (mask.bit_count(), mask)
 
 
 def lower_masks(leq: Sequence[int]) -> tuple[int, ...]:
@@ -364,6 +360,14 @@ def _axiom_failures(A: FiniteOrderedSemiring):
             yield (f"{opname}-monotone", mono)
 
 
+def _check_size(n: int) -> None:
+    """Refuse a carrier above the desk-scale guardrail with SizeLimit."""
+    if n > MAX_ELEMENTS:
+        raise SizeLimit(
+            f"validate: carrier has {n} elements; guardrail is {MAX_ELEMENTS}"
+        )
+
+
 def validate(desc: RawSemiringDescription) -> FiniteOrderedSemiring:
     """Resolve labels, close the order, and exhaustively check every axiom.
 
@@ -375,10 +379,7 @@ def validate(desc: RawSemiringDescription) -> FiniteOrderedSemiring:
     n = len(elements)
     if n == 0:
         raise LabelError("carrier must be non-empty")
-    if n > MAX_ELEMENTS:
-        raise SizeLimit(
-            f"validate: carrier has {n} elements; guardrail is {MAX_ELEMENTS}"
-        )
+    _check_size(n)
     index: dict = {}
     for i, e in enumerate(elements):
         if e in index:

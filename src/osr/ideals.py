@@ -173,12 +173,10 @@ def generated_ideal_by_sums(A: FiniteOrderedSemiring, members: Members) -> int:
 def principal_ideal(A: FiniteOrderedSemiring, x: int) -> Ideal:
     """The ideal generated by one element: everything below some multiple.
 
-    Evaluates the direct one-generator description and asserts agreement
-    with the fixed-point closure.
+    Reads the direct one-generator description, the cached ``multiples``
+    row, and asserts agreement with the fixed-point closure.
     """
-    mask = 0
-    for y in range(A.n):
-        mask |= A.lower_masks[A.mul[x][y]]
+    mask = A.multiples[x]
     closed = _close(A, 1 << x)
     if mask != closed:
         raise InternalMismatch(
@@ -362,17 +360,6 @@ def canonical_embedding(A: Source) -> MorphismTable:
     return table
 
 
-def _same_tables(A: FiniteOrderedSemiring, B: FiniteOrderedSemiring) -> bool:
-    return (
-        A.labels == B.labels
-        and A.leq == B.leq
-        and A.zero == B.zero
-        and A.one == B.one
-        and A.add == B.add
-        and A.mul == B.mul
-    )
-
-
 def extend_to_quantale_hom(
     f: MorphismTable, Q: FiniteLattice, iq: IdealLattice
 ) -> LatticeHom:
@@ -390,7 +377,7 @@ def extend_to_quantale_hom(
         )
     if not Q.is_integral_quantale:
         raise NotIntegral(f"{Q.name} is not an integral quantale")
-    if not _same_tables(f.target, Q.semiring):
+    if f.target._replace(name=Q.semiring.name) != Q.semiring:
         raise OwnerMismatch(
             f"morphism target {f.target.name} is not the semiring induced by {Q.name}"
         )

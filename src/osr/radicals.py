@@ -119,13 +119,12 @@ def semiprime_elements(Q: FiniteLattice) -> SemiprimeReflection:
     if not Q.is_integral_quantale:
         raise NotIntegral(f"{Q.name} is not an integral quantale")
     assert Q.mul is not None
+    powers = [power_set(Q.mul, Q.n, q) for q in range(Q.n)]
     members = tuple(
         p
         for p in range(Q.n)
         if all(
-            Q.le(q, p)
-            for q in range(Q.n)
-            if any(Q.le(pw, p) for pw in power_set(Q.mul, Q.n, q))
+            Q.le(q, p) for q in range(Q.n) if any(Q.le(pw, p) for pw in powers[q])
         )
     )
     pos = {p: i for i, p in enumerate(members)}

@@ -121,20 +121,11 @@ def enumerate_primes(A: Source) -> list[Ideal]:
 
 
 def enumerate_maximal(A: Source) -> list[Ideal]:
-    """Proper ideals maximal in the containment order."""
-    an = analysis(A)
-    ideals = an.ideals.ideals
-    full = an.owner.full_mask
-    out = []
-    for I in ideals:
-        if I.mask == full:
-            continue
-        if not any(
-            J.mask != full and J.mask != I.mask and I.mask & ~J.mask == 0
-            for J in ideals
-        ):
-            out.append(I)
-    return out
+    """Proper ideals maximal in the containment order: the ideals that the
+    whole carrier, the top of the ideal lattice, covers."""
+    iq = analysis(A).ideals
+    top = iq.lattice.top
+    return [iq.ideals[i] for i, j in iq.lattice.covers if j == top]
 
 
 class MaximalPrimeReport(NamedTuple):

@@ -20,7 +20,6 @@ import osr.spectrum
 from osr.analysis import Analysis
 from osr.builders import from_builder_spec
 from osr.cli import main
-from osr.core import popcount
 from osr.ideals import (
     _close,
     _products,
@@ -290,7 +289,7 @@ def test_product_memo_does_not_hide_a_fault(monkeypatch):
         out = _products(A, s, t)
         # only generator pairs: ideal products, and with them the ideal
         # quantale, keep their values
-        if popcount(s) == popcount(t) == 1:
+        if s.bit_count() == t.bit_count() == 1:
             out &= ~(1 << (out.bit_length() - 1))
         return out
 
