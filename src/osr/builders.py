@@ -330,6 +330,12 @@ def from_builder_spec(text: str) -> FiniteOrderedSemiring:
         raise LabelError(
             f"unknown builder {name!r}; expected one of {sorted(BUILDER_SPECS)}"
         )
-    if not sep or not arg.isdigit():
+    if not sep or not (arg.isascii() and arg.isdigit()):
         raise LabelError(f"builder {name!r} needs a numeric argument, e.g. {name}:3")
-    return BUILDER_SPECS[name](int(arg))
+    try:
+        k = int(arg)
+    except ValueError:  # longer than the interpreter converts
+        raise LabelError(
+            f"builder {name!r} argument has {len(arg)} digits, too many to read"
+        ) from None
+    return BUILDER_SPECS[name](k)

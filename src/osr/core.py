@@ -11,7 +11,15 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from .errors import (
     AxiomViolation,
@@ -22,6 +30,9 @@ from .errors import (
     NotAQuantale,
     SizeLimit,
 )
+
+if TYPE_CHECKING:
+    from .search import SearchTarget
 
 MAX_ELEMENTS = 24  # ideal enumeration is 2^n in the worst case downstream
 
@@ -143,6 +154,17 @@ def transitive_closure(rows: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _search_target(
+    structure: Union[FiniteOrderedSemiring, FiniteLattice],
+) -> SearchTarget:
+    """The search engine's support tables into ``structure`` (its order and
+    operation tables), each built on first use and kept as long as the
+    structure."""
+    from .search import SearchTarget
+
+    return SearchTarget(structure.leq)
+
+
 class RawSemiringDescription(NamedTuple):
     """Serializable description of an ordered semiring, all in labels.
 
@@ -228,6 +250,8 @@ class FiniteOrderedSemiring(Record):
     def order_pairs(self) -> frozenset[tuple[int, int]]:
         """Every pair ``(i, j)`` with ``i <= j``."""
         return frozenset((i, j) for i in range(self.n) for j in bits(self.leq[i]))
+
+    search_target = cached_property(_search_target)
 
     @cached_property
     def gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
@@ -470,6 +494,8 @@ class FiniteLattice(Record):
         from .builders import build_from_quantale
 
         return build_from_quantale(self)
+
+    search_target = cached_property(_search_target)
 
     @cached_property
     def gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:

@@ -10,8 +10,8 @@ reflection: each passes its lattice of ideals, its universal arrow and the
 subadditive morphisms to compare against, which the caller enumerates.
 
 Enumeration runs the same forward-checking engine as the morphism search
-(``search.forward_search``) over every element of the source, testing each
-preservation law as soon as the elements it mentions have values.
+(``search.forward_search``) over every element of the source, each
+preservation law narrowing the values of the last element it mentions.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeH
 
     forward_search(
         L.n,
-        Q.n,
-        Q.leq,
+        Q.search_target,
         ((L.bottom, Q.bottom, True), (L.unit, Q.unit, True)),
         L.leq,
         ((L.join, Q.join, True), (L.mul, Q.mul, True)),

@@ -152,8 +152,7 @@ def _search(
 
     forward_search(
         A.n,
-        B.n,
-        B.leq,
+        B.search_target,
         pins,
         A.leq,
         ((A.add, B.add, False), (A.mul, B.mul, mul_equal)),

@@ -2,39 +2,152 @@
 
 A map ``f`` from ``0..n-1`` into a finite poset ``0..m-1`` is searched one
 variable at a time, in index order, with values tried in ascending order,
-so solutions come out in lexicographic order.  Every constraint is indexed
-by the highest variable it mentions and tested as soon as that variable is
-assigned (Haralick & Elliott 1980, *Increasing tree search efficiency for
-constraint satisfaction problems*):
+so solutions come out in lexicographic order.  The constraints are
 
 - a pin ``f(v) = c`` or ``f(v) <= c``;
 - an order pair ``i <= j`` of the source, asking ``f(i) <= f(j)``;
 - a table law ``f(S[x][y]) R T[f(x)][f(y)]`` for all ``x, y``, with ``R``
   either ``=`` or ``<=``.
 
-A constraint whose highest variable only appears on one side narrows that
-variable's domain to a bitmask before any value is tried; the others are
-tested per value.  Morphism search (``morphisms``) and quantale-hom search
+Every constraint is indexed by the highest variable it mentions (Haralick &
+Elliott 1980, *Increasing tree search efficiency for constraint satisfaction
+problems*) and narrows that variable's domain before any value is tried,
+with one lookup in a support table (Mackworth 1977, *Consistency in networks
+of relations*): the bitmask of the values the constraint allows, indexed by
+the values of its earlier variables.  A constraint on one variable alone is
+folded into its domain once.  So every value tried already satisfies every
+constraint whose variables all have values; nothing is tested per value.
+
+Support tables depend on the target alone.  A ``SearchTarget`` builds each
+on first use, from the target's own order and operation tables, and keeps
+it for as long as the target structure keeps the ``SearchTarget`` (its
+``search_target``).  Equal tables are one object, so equal constraints on
+the same variables are applied once, and a table that allows every value
+is dropped.  Morphism search (``morphisms``) and quantale-hom search
 (``homs``) both run on this engine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .core import Table, bits, lower_masks
 from .errors import SizeLimit
 
-NODE_BUDGET = 1 << 20  # values tried per search, over all variables
+NODE_BUDGET = 1 << 20  # values that pass every constraint, per search
 
 Pin = tuple[int, int, bool]  # variable, value, True for f(v) = value else <=
 Law = tuple[Table, Table, bool]  # S, T, True for "=" else "<="
 
+# The shape of one instance f(s) R T[f(x)][f(y)] of a law: for each of s, x
+# and y, NEW when it is the variable being narrowed (the highest of the
+# three), else the slot of its value in the support table's index, the
+# earlier variables taking slots in ascending order.
+NEW = -1
+Shape = tuple[int, int, int]
+Support = Union[int, tuple]  # a mask, or masks indexed by one or two values
+
+
+def _shape(s: int, lo: int, hi: int) -> tuple[Shape, int, tuple[int, ...]]:
+    """Shape, narrowed variable and indexing variables of the instance
+    ``f(s) R T[f(lo)][f(hi)]``, where ``lo < hi``."""
+    if s > hi:
+        return (NEW, 0, 1), s, (lo, hi)
+    if s == hi:
+        return (NEW, 0, NEW), hi, (lo,)
+    if s > lo:
+        return (1, 0, NEW), hi, (lo, s)
+    if s == lo:
+        return (0, 0, NEW), hi, (lo,)
+    return (0, 1, NEW), hi, (s, lo)
+
+
+def _diagonal_shape(s: int, x: int) -> tuple[Shape, int, tuple[int, ...]]:
+    """The same for ``f(s) R T[f(x)][f(x)]``."""
+    if s > x:
+        return (NEW, 0, 0), s, (x,)
+    if s == x:
+        return (NEW, NEW, NEW), x, ()
+    return (0, NEW, NEW), x, (s,)
+
+
+class _LawSupports(dict):
+    """The support tables of one law into one target, by shape, each built
+    on first lookup."""
+
+    def __init__(self, target: SearchTarget, T: Table, equal: bool) -> None:
+        super().__init__()
+        self.target, self.T, self.equal = target, T, equal
+        m = target.m
+        self.symmetric = all(T[a][b] == T[b][a] for a in range(m) for b in range(a))
+
+    def __missing__(self, shape: Shape) -> Optional[Support]:
+        table = self[shape] = self.target._build(self.T, self.equal, shape)
+        return table
+
+
+class SearchTarget:
+    """The support tables of a target poset, each built once, on first use.
+
+    ``up[a]`` and ``down[a]`` are the values above and below ``a``; they are
+    the support tables of the order pairs, None where they allow every value.
+    """
+
+    def __init__(self, leq: Sequence[int]) -> None:
+        self.m = len(leq)
+        self.full = (1 << self.m) - 1
+        self.leq = tuple(leq)
+        self.below = lower_masks(self.leq)
+        self._tables: dict[tuple, tuple] = {}
+        self._laws: dict[tuple[Table, bool], _LawSupports] = {}
+        self.up = self._keep(self.leq)
+        self.down = self._keep(self.below)
+
+    def supports(self, T: Table, equal: bool) -> _LawSupports:
+        """The support tables of the law ``f(S[x][y]) R T[f(x)][f(y)]``
+        (``R`` is ``=`` when ``equal``, else ``<=``), by shape."""
+        tables = self._laws.get((T, equal))
+        if tables is None:
+            tables = self._laws[T, equal] = _LawSupports(self, T, equal)
+        return tables
+
+    def _keep(self, table: tuple) -> Optional[tuple]:
+        """``table``, or the equal table kept earlier; None when every entry
+        allows every value."""
+        masks = table if isinstance(table[0], int) else sum(table, ())
+        if all(mask == self.full for mask in masks):
+            return None
+        return self._tables.setdefault(table, table)
+
+    def _build(self, T: Table, equal: bool, shape: Shape) -> Optional[Support]:
+        """The masks of the values ``v`` of the narrowed variable with
+        ``f(s) R T[f(x)][f(y)]``, where ``shape`` places ``v`` and the
+        indexing values among ``s``, ``x`` and ``y``."""
+        m, leq = self.m, self.leq
+
+        def allowed(*index: int) -> int:
+            mask = 0
+            for v in range(m):
+                u, a, b = (v if slot == NEW else index[slot] for slot in shape)
+                t = T[a][b]
+                if (u == t) if equal else leq[u] >> t & 1:
+                    mask |= 1 << v
+            return mask
+
+        arity = max(shape) + 1
+        if arity == 0:
+            mask = allowed()
+            return None if mask == self.full else mask
+        if arity == 1:
+            return self._keep(tuple(map(allowed, range(m))))
+        return self._keep(
+            tuple(tuple(allowed(a, b) for b in range(m)) for a in range(m))
+        )
+
 
 def forward_search(
     n: int,
-    m: int,
-    target_leq: Sequence[int],
+    target: SearchTarget,
     pins: Sequence[Pin],
     order: Sequence[int],
     laws: Sequence[Law],
@@ -44,38 +157,54 @@ def forward_search(
 ) -> None:
     """Call ``leaf`` on every value array satisfying all constraints.
 
-    ``target_leq`` and ``order`` are the target and source orders as bitmask
-    rows (bit ``j`` of row ``i`` set iff ``i <= j``).  Raises SizeLimit
-    naming ``layer`` once more than ``NODE_BUDGET`` nodes (values tried)
-    are needed.
+    ``order`` is the source order as bitmask rows (bit ``j`` of row ``i``
+    set iff ``i <= j``); the target order and the tables ``T`` of ``laws``
+    are ``target``'s.  Raises SizeLimit naming ``layer`` once more than
+    ``NODE_BUDGET`` nodes (values that pass every constraint) are needed.
     """
     budget = NODE_BUDGET
-    below = lower_masks(target_leq)
-    domain = [(1 << m) - 1] * n
+    domain = [target.full] * n
     for var, value, equal in pins:
-        domain[var] &= (1 << value) if equal else below[value]
-    ups: list[list[int]] = [[] for _ in range(n)]  # i < k, i <= k: f(k) >= f(i)
-    downs: list[list[int]] = [[] for _ in range(n)]  # i < k, k <= i: f(k) <= f(i)
+        domain[var] &= (1 << value) if equal else target.below[value]
+    # (narrowed variable, table id, indexing variables) -> table, so that
+    # equal constraints on the same variables merge
+    narrow: dict[tuple, tuple] = {}
+    up, down = target.up, target.down
     for i in range(n):
         for j in bits(order[i]):
-            if i < j:
-                ups[j].append(i)
-            elif j < i:
-                downs[i].append(j)
-    # s above x and y: f(s) is narrowed to a mask; otherwise tested per value
-    narrow: list[list[tuple]] = [[] for _ in range(n)]
-    tests: list[list[tuple]] = [[] for _ in range(n)]
+            if i < j and up is not None:
+                narrow[j, id(up), (i,)] = up
+            elif j < i and down is not None:
+                narrow[i, id(down), (j,)] = down
     for S, T, equal in laws:
-        symmetric = all(T[a][b] == T[b][a] for a in range(m) for b in range(a))
+        tables = target.supports(T, equal)
         for x in range(n):
-            for y in range(n):
-                s = S[x][y]
-                if symmetric and y < x and S[y][x] == s:
-                    continue  # the same constraint as (y, x)
-                if s > x and s > y:
-                    narrow[s].append((x, y, T, equal))
-                else:
-                    tests[max(x, y)].append((x, y, s, T, equal))
+            row = S[x]
+            shape, k, index = _diagonal_shape(row[x], x)
+            table = tables[shape]
+            if table is None:
+                pass
+            elif index:
+                narrow[k, id(table), index] = table
+            else:
+                domain[k] &= table
+            for y in range(x + 1, n):
+                s, r = row[y], S[y][x]
+                shape, k, index = _shape(s, x, y)
+                table = tables[shape]
+                if table is not None:
+                    narrow[k, id(table), index] = table
+                if r != s:
+                    shape, k, index = _shape(r, x, y)
+                elif tables.symmetric:
+                    continue  # the instance at (y, x) is the same constraint
+                table = tables[shape[0], shape[2], shape[1]]  # x, y swapped
+                if table is not None:
+                    narrow[k, id(table), index] = table
+    unary: list[list] = [[] for _ in range(n)]
+    binary: list[list] = [[] for _ in range(n)]
+    for (k, _, index), table in narrow.items():
+        (binary if len(index) == 2 else unary)[k].append((table, *index))
 
     values = [0] * n
     nodes = 0
@@ -86,14 +215,10 @@ def forward_search(
             leaf(tuple(values))
             return
         mask = domain[k]
-        for i in ups[k]:
-            mask &= target_leq[values[i]]
-        for i in downs[k]:
-            mask &= below[values[i]]
-        for x, y, T, equal in narrow[k]:
-            t = T[values[x]][values[y]]
-            mask &= (1 << t) if equal else below[t]
-        checks = tests[k]
+        for table, p in unary[k]:
+            mask &= table[values[p]]
+        for table, p, q in binary[k]:
+            mask &= table[values[p]][values[q]]
         while mask:
             low = mask & -mask
             mask ^= low
@@ -104,12 +229,6 @@ def forward_search(
                     f"({nodes} nodes visited)"
                 )
             values[k] = low.bit_length() - 1
-            for x, y, s, T, equal in checks:
-                t = T[values[x]][values[y]]
-                fs = values[s]
-                if (fs != t) if equal else not target_leq[fs] >> t & 1:
-                    break
-            else:
-                assign(k + 1)
+            assign(k + 1)
 
     assign(0)

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import osr.report
 from osr.cli import main
 from osr.osrfile import render
@@ -89,6 +91,15 @@ def test_bad_builder_exits_2(capsys):
     assert code == 2 and "unknown builder" in err
     code, _, err = run(capsys, "check", "--builder", "zmod")
     assert code == 2
+
+
+@pytest.mark.parametrize("arg", ["\u00b2", "\u0663", "9" * 5000])
+def test_non_ascii_or_overlong_builder_argument_exits_2(capsys, arg):
+    # str.isdigit() accepts "²" and "٣", which int() refuses, and int() refuses
+    # a digit string longer than the interpreter's conversion limit
+    code, out, err = run(capsys, "validate", "--builder", f"zmod:{arg}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_requires_exactly_one_source(capsys, tmp_path):

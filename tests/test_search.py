@@ -2,6 +2,8 @@
 cross-check, and the carrier sizes it makes reachable."""
 
 import ast
+import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import osr.search
 from osr.cli import main
 from osr.errors import InternalMismatch, SizeLimit
 from osr.report import run_checks
+from osr.search import SearchTarget, forward_search
 
 from .oracle import sub_submul_maps_bruteforce, subadditive_maps_bruteforce
 
@@ -53,6 +56,179 @@ def test_node_budget_refusal_names_layer_budget_and_nodes(monkeypatch):
         "hom search chain6 -> diamond: node budget of 5 exhausted "
         "(6 nodes visited)"
     )
+
+
+def _random_order(rng, size, allowed):
+    """Bitmask rows of a random reflexive, transitively closed relation made
+    of pairs ``(i, j)`` that ``allowed`` accepts (a transitive predicate)."""
+    rows = [
+        1 << i
+        | sum(1 << j for j in range(size) if allowed(i, j) and rng.random() < 0.3)
+        for i in range(size)
+    ]
+    for k in range(size):
+        for i in range(size):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return rows
+
+
+def _random_problem(rng):
+    """A random problem on n <= 5 variables and m <= 4 values.  Most are
+    built around a random map ``g`` that satisfies them, so that a fault
+    shows as a lost or an extra solution instead of hiding among problems
+    that have none."""
+    n, m = rng.randint(1, 5), rng.randint(1, 4)
+    leq = _random_order(rng, m, lambda i, j: True)
+    g = [rng.randrange(m) for _ in range(n)]
+    planted = rng.random() < 0.8
+
+    def fits(z, t, equal):  # whether g keeps "f(z) R t"
+        return not planted or (g[z] == t if equal else leq[g[z]] >> t & 1)
+
+    order = _random_order(rng, n, lambda i, j: fits(i, g[j], False))
+    pins = []
+    for _ in range(rng.randint(0, 2)):
+        v, equal = rng.randrange(n), rng.random() < 0.5
+        pins.append((v, rng.choice([c for c in range(m) if fits(v, c, equal)]), equal))
+    laws = []
+    for _ in range(rng.randint(0, 2)):
+        T = [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
+        if rng.random() < 0.5:
+            T = [[T[min(a, b)][max(a, b)] for b in range(m)] for a in range(m)]
+        T = tuple(map(tuple, T))
+        equal = rng.random() < 0.5
+        S = tuple(
+            tuple(
+                rng.choice(
+                    [z for z in range(n) if fits(z, T[g[x]][g[y]], equal)]
+                    or range(n)
+                )
+                for y in range(n)
+            )
+            for x in range(n)
+        )
+        laws.append((S, T, equal))
+    return n, m, leq, pins, order, laws
+
+
+def _brute_force(n, m, leq, pins, order, laws):
+    """Every value array, in lexicographic order, satisfying the pins, the
+    order pairs and the table laws, each checked as written."""
+
+    def le(a, b):
+        return leq[a] >> b & 1
+
+    return [
+        f
+        for f in product(range(m), repeat=n)
+        if all(f[v] == c if equal else le(f[v], c) for v, c, equal in pins)
+        and all(
+            le(f[i], f[j]) for i in range(n) for j in range(n) if order[i] >> j & 1
+        )
+        and all(
+            f[S[x][y]] == T[f[x]][f[y]] if equal else le(f[S[x][y]], T[f[x]][f[y]])
+            for S, T, equal in laws
+            for x in range(n)
+            for y in range(n)
+        )
+    ]
+
+
+def _rank_pattern(s, x, y):
+    """How s, x and y are ordered: (0, 0, 1) for s = x < y, and so on."""
+    distinct = sorted({s, x, y})
+    return tuple(distinct.index(v) for v in (s, x, y))
+
+
+def test_engine_matches_brute_force_on_random_problems():
+    # every way s = S[x][y], x and y can be ordered, each reached both with a
+    # commutative target table and with one that is not (the transposed
+    # support tables, which no builder's commutative tables reach)
+    all_patterns = {_rank_pattern(*t) for t in product(range(3), repeat=3)}
+    assert len(all_patterns) == 13
+    reached = {True: set(), False: set()}
+    with_solutions = 0
+    rng = random.Random(15)
+    for _ in range(500):
+        n, m, leq, pins, order, laws = _random_problem(rng)
+        for S, T, _ in laws:
+            symmetric = all(T[a][b] == T[b][a] for a in range(m) for b in range(m))
+            reached[symmetric].update(
+                _rank_pattern(S[x][y], x, y) for x in range(n) for y in range(n)
+            )
+        got = []
+        forward_search(
+            n, SearchTarget(leq), pins, order, laws, got.append, layer="random"
+        )
+        expected = _brute_force(n, m, leq, pins, order, laws)
+        assert got == expected, (n, m, leq, pins, order, laws)
+        with_solutions += bool(expected)
+    assert reached[True] == reached[False] == all_patterns
+    assert 50 < with_solutions < 450
+
+
+def _consistent_prefixes(A, B):
+    """Value arrays for A's first k elements, k >= 1, breaking none of the
+    subadditive-morphism constraints whose elements are all among them."""
+    count = 0
+    for k in range(1, A.n + 1):
+        for f in product(range(B.n), repeat=k):
+            pins = (A.zero >= k or B.le(f[A.zero], B.zero)) and (
+                A.one >= k or f[A.one] == B.one
+            )
+            monotone = all(
+                B.le(f[i], f[j]) for i in range(k) for j in range(k) if A.le(i, j)
+            )
+            laws = all(
+                (A.add[x][y] >= k or B.le(f[A.add[x][y]], B.add[f[x]][f[y]]))
+                and (A.mul[x][y] >= k or f[A.mul[x][y]] == B.mul[f[x]][f[y]])
+                for x in range(k)
+                for y in range(k)
+            )
+            count += pins and monotone and laws
+    return count
+
+
+@pytest.mark.parametrize("source", ["chain:6", "zmod:6"])
+def test_a_node_is_a_value_that_passes_every_constraint(monkeypatch, source):
+    # into chain3, zmod:6 has 14 consistent prefixes; counting every value
+    # tried, as the per-value tests did, takes 25 nodes
+    A, B = osr.from_builder_spec(source), osr.build_chain_lattice(3)
+    nodes = _consistent_prefixes(A, B)
+    monkeypatch.setattr(osr.search, "NODE_BUDGET", nodes)
+    got = [t.values for t in osr.enumerate_subadditive(A, B)]
+    assert got == subadditive_maps_bruteforce(A, B)
+    monkeypatch.setattr(osr.search, "NODE_BUDGET", nodes - 1)
+    with pytest.raises(SizeLimit) as exc:
+        osr.enumerate_subadditive(A, B)
+    assert str(exc.value) == (
+        f"morphism search {A.name} -> chain3: node budget of {nodes - 1} "
+        f"exhausted ({nodes} nodes visited)"
+    )
+
+
+def test_support_tables_are_built_once_per_target_structure(monkeypatch):
+    built = []
+    real = SearchTarget._build
+
+    def counting(self, T, equal, shape):
+        built.append(self)
+        return real(self, T, equal, shape)
+
+    monkeypatch.setattr(SearchTarget, "_build", counting)
+    A, B = osr.build_chain_lattice(6), osr.build_chain_lattice(3)
+    first = osr.enumerate_subadditive(A, B)
+    assert built and set(built) == {B.search_target}
+    count = len(built)
+    assert osr.enumerate_subadditive(A, B) == first
+    assert len(built) == count  # the same target builds no new table
+    fresh = osr.build_chain_lattice(3)
+    assert fresh == B and fresh is not B
+    assert osr.enumerate_subadditive(A, fresh) == first
+    # an equal but fresh target builds its own: nothing is kept per process
+    assert len(built) == 2 * count
+    assert set(built[count:]) == {fresh.search_target}
 
 
 def test_morphism_leaf_failing_classification_raises(monkeypatch):
