@@ -150,14 +150,14 @@ class Analysis:
 
     @_structure
     def radical_principal(self) -> tuple[int, ...]:
-        """The universal map x -> radical of <x>, as indices into ``radicals``."""
-        from .ideals import principal_ideal
+        """The universal map x -> radical of <x>, as indices into ``radicals``;
+        each principal ideal is read from ``principal``."""
         from .radicals import radical_closure
 
-        A = self.owner
+        ideals = self.ideals.ideals
         return tuple(
-            self.radicals.index_of(radical_closure(self, principal_ideal(A, x)).mask)
-            for x in range(A.n)
+            self.radicals.index_of(radical_closure(self, ideals[i]).mask)
+            for i in self.principal
         )
 
 

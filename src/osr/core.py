@@ -154,17 +154,6 @@ def transitive_closure(rows: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _search_target(
-    structure: Union[FiniteOrderedSemiring, FiniteLattice],
-) -> SearchTarget:
-    """The search engine's support tables into ``structure`` (its order and
-    operation tables), each built on first use and kept as long as the
-    structure."""
-    from .search import SearchTarget
-
-    return SearchTarget(structure.leq)
-
-
 class RawSemiringDescription(NamedTuple):
     """Serializable description of an ordered semiring, all in labels.
 
@@ -251,7 +240,15 @@ class FiniteOrderedSemiring(Record):
         """Every pair ``(i, j)`` with ``i <= j``."""
         return frozenset((i, j) for i in range(self.n) for j in bits(self.leq[i]))
 
-    search_target = cached_property(_search_target)
+    @cached_property
+    def search_target(self) -> SearchTarget:
+        """The search engine's support tables into this semiring (its order
+        and operation tables), each built on first use and kept as long as
+        the semiring; a quantale target is searched through its
+        ``semiring``, so it has no tables of its own."""
+        from .search import SearchTarget
+
+        return SearchTarget(self.leq)
 
     @cached_property
     def gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
@@ -453,7 +450,7 @@ class FiniteLattice(Record):
     ``mul``/``unit`` are present for quantales; ``is_integral_quantale``
     holds when the unit is the top element.  At finite scale frames are
     exactly the distributive lattices, so ``is_distributive`` also says
-    whether the lattice is a frame.
+    whether the lattice is a frame.  Both are read from the tables.
     """
 
     name: str
@@ -465,12 +462,24 @@ class FiniteLattice(Record):
     top: int
     mul: Optional[Table]
     unit: Optional[int]
-    is_distributive: bool
-    is_integral_quantale: bool
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def is_distributive(self) -> bool:
+        meet, join, n = self.meet, self.join, self.n
+        return all(
+            meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+            for x in range(n)
+            for y in range(n)
+            for z in range(n)
+        )
+
+    @property
+    def is_integral_quantale(self) -> bool:
+        return self.mul is not None and self.unit == self.top
 
     def le(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
@@ -494,8 +503,6 @@ class FiniteLattice(Record):
         from .builders import build_from_quantale
 
         return build_from_quantale(self)
-
-    search_target = cached_property(_search_target)
 
     @cached_property
     def gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
@@ -541,7 +548,7 @@ class FiniteLattice(Record):
 
     def __repr__(self) -> str:
         kind = "frame" if self.is_distributive else "lattice"
-        if self.mul is not None and not self.is_distributive:
+        if self.mul not in (None, self.meet):
             kind = "quantale"
         return f"FiniteLattice({self.name!r}, n={self.n}, {kind})"
 
@@ -622,12 +629,6 @@ def lattice_from_order(
                             "multiplication does not distribute over join"
                         )
 
-    distributive = all(
-        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
     return FiniteLattice(
         name=name or "lattice",
         labels=tuple(labels),
@@ -638,8 +639,6 @@ def lattice_from_order(
         top=top,
         mul=tuple(tuple(r) for r in mul) if mul is not None else None,
         unit=unit,
-        is_distributive=distributive,
-        is_integral_quantale=mul is not None and unit == top,
     )
 
 

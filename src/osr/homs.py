@@ -57,10 +57,10 @@ def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, values) -> bool:
 def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeHom]:
     """All quantale homomorphisms L -> Q, sorted by value table.
 
-    Runs the forward-checking engine over every element of L with bottom
-    and unit pinned, monotonicity, and preservation of binary joins and
-    products as constraints.  Every value table it finds is re-verified by
-    ``is_quantale_hom``; one that fails raises InternalMismatch.
+    Runs the forward-checking engine into ``Q.semiring`` over L, with
+    bottom and unit pinned, monotonicity, and preservation of binary joins
+    and products as constraints.  Every value table it finds is re-verified
+    by ``is_quantale_hom``; one that fails raises InternalMismatch.
     """
     if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
         raise NotAQuantale("both lattices must carry a multiplication")
@@ -76,7 +76,7 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeH
 
     forward_search(
         L.n,
-        Q.search_target,
+        Q.semiring.search_target,
         ((L.bottom, Q.bottom, True), (L.unit, Q.unit, True)),
         L.leq,
         ((L.join, Q.join, True), (L.mul, Q.mul, True)),

@@ -6,8 +6,8 @@ so solutions come out in lexicographic order.  The constraints are
 
 - a pin ``f(v) = c`` or ``f(v) <= c``;
 - an order pair ``i <= j`` of the source, asking ``f(i) <= f(j)``;
-- a table law ``f(S[x][y]) R T[f(x)][f(y)]`` for all ``x, y``, with ``R``
-  either ``=`` or ``<=``.
+- a table law ``f(S[x][y]) R T[f(x)][f(y)]`` for all ``x <= y``, ``S`` and
+  ``T`` being commutative, with ``R`` either ``=`` or ``<=``.
 
 Every constraint is indexed by the highest variable it mentions (Haralick &
 Elliott 1980, *Increasing tree search efficiency for constraint satisfaction
@@ -19,12 +19,12 @@ folded into its domain once.  So every value tried already satisfies every
 constraint whose variables all have values; nothing is tested per value.
 
 Support tables depend on the target alone.  A ``SearchTarget`` builds each
-on first use, from the target's own order and operation tables, and keeps
-it for as long as the target structure keeps the ``SearchTarget`` (its
-``search_target``).  Equal tables are one object, so equal constraints on
-the same variables are applied once, and a table that allows every value
-is dropped.  Morphism search (``morphisms``) and quantale-hom search
-(``homs``) both run on this engine.
+on first use, from the target semiring's order and operation tables, and
+lives as long as the semiring (its ``search_target``).  Morphism search
+(``morphisms``) and quantale-hom search (``homs``) both search into a
+semiring, so each target order has one set of tables.  Equal tables are
+one object, so equal constraints on the same variables are applied once,
+and a table that allows every value is dropped.
 """
 
 from __future__ import annotations
@@ -48,27 +48,24 @@ Shape = tuple[int, int, int]
 Support = Union[int, tuple]  # a mask, or masks indexed by one or two values
 
 
-def _shape(s: int, lo: int, hi: int) -> tuple[Shape, int, tuple[int, ...]]:
+def _shape(s: int, x: int, y: int) -> tuple[Shape, int, tuple[int, ...]]:
     """Shape, narrowed variable and indexing variables of the instance
-    ``f(s) R T[f(lo)][f(hi)]``, where ``lo < hi``."""
-    if s > hi:
-        return (NEW, 0, 1), s, (lo, hi)
-    if s == hi:
-        return (NEW, 0, NEW), hi, (lo,)
-    if s > lo:
-        return (1, 0, NEW), hi, (lo, s)
-    if s == lo:
-        return (0, 0, NEW), hi, (lo,)
-    return (0, 1, NEW), hi, (s, lo)
-
-
-def _diagonal_shape(s: int, x: int) -> tuple[Shape, int, tuple[int, ...]]:
-    """The same for ``f(s) R T[f(x)][f(x)]``."""
+    ``f(s) R T[f(x)][f(y)]``, where ``x <= y``."""
+    if x == y:
+        if s > x:
+            return (NEW, 0, 0), s, (x,)
+        if s == x:
+            return (NEW, NEW, NEW), x, ()
+        return (0, NEW, NEW), x, (s,)
+    if s > y:
+        return (NEW, 0, 1), s, (x, y)
+    if s == y:
+        return (NEW, 0, NEW), y, (x,)
     if s > x:
-        return (NEW, 0, 0), s, (x,)
+        return (1, 0, NEW), y, (x, s)
     if s == x:
-        return (NEW, NEW, NEW), x, ()
-    return (0, NEW, NEW), x, (s,)
+        return (0, 0, NEW), y, (x,)
+    return (0, 1, NEW), y, (s, x)
 
 
 class _LawSupports(dict):
@@ -78,8 +75,6 @@ class _LawSupports(dict):
     def __init__(self, target: SearchTarget, T: Table, equal: bool) -> None:
         super().__init__()
         self.target, self.T, self.equal = target, T, equal
-        m = target.m
-        self.symmetric = all(T[a][b] == T[b][a] for a in range(m) for b in range(a))
 
     def __missing__(self, shape: Shape) -> Optional[Support]:
         table = self[shape] = self.target._build(self.T, self.equal, shape)
@@ -136,8 +131,7 @@ class SearchTarget:
 
         arity = max(shape) + 1
         if arity == 0:
-            mask = allowed()
-            return None if mask == self.full else mask
+            return allowed()
         if arity == 1:
             return self._keep(tuple(map(allowed, range(m))))
         return self._keep(
@@ -161,6 +155,11 @@ def forward_search(
     set iff ``i <= j``); the target order and the tables ``T`` of ``laws``
     are ``target``'s.  Raises SizeLimit naming ``layer`` once more than
     ``NODE_BUDGET`` nodes (values that pass every constraint) are needed.
+
+    A table that is not commutative can only lose constraints: every
+    solution is still found, and each extra leaf fails the callers'
+    exhaustive re-check (``classify``, ``is_quantale_hom``) as
+    InternalMismatch.
     """
     budget = NODE_BUDGET
     domain = [target.full] * n
@@ -180,26 +179,12 @@ def forward_search(
         tables = target.supports(T, equal)
         for x in range(n):
             row = S[x]
-            shape, k, index = _diagonal_shape(row[x], x)
-            table = tables[shape]
-            if table is None:
-                pass
-            elif index:
-                narrow[k, id(table), index] = table
-            else:
-                domain[k] &= table
-            for y in range(x + 1, n):
-                s, r = row[y], S[y][x]
-                shape, k, index = _shape(s, x, y)
+            for y in range(x, n):
+                shape, k, index = _shape(row[y], x, y)
                 table = tables[shape]
-                if table is not None:
-                    narrow[k, id(table), index] = table
-                if r != s:
-                    shape, k, index = _shape(r, x, y)
-                elif tables.symmetric:
-                    continue  # the instance at (y, x) is the same constraint
-                table = tables[shape[0], shape[2], shape[1]]  # x, y swapped
-                if table is not None:
+                if not index:
+                    domain[k] &= table
+                elif table is not None:
                     narrow[k, id(table), index] = table
     unary: list[list] = [[] for _ in range(n)]
     binary: list[list] = [[] for _ in range(n)]

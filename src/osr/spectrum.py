@@ -136,24 +136,38 @@ class MaximalPrimeReport(NamedTuple):
 
 def check_maximal_implies_prime(A: Source) -> MaximalPrimeReport:
     """Every maximal ideal must be prime; the witness on failure is the
-    product pair that escapes the ideal."""
+    product pair that escapes the ideal.  The maximal ideals are first
+    checked against the definition: the proper ideals that any one element
+    outside them closes to the carrier (closures ``enumerate_ideals`` made)."""
     an = analysis(A)
-    A, maximal = an.owner, an.maximal
+    A, maximal, full = an.owner, an.maximal, an.owner.full_mask
+    defined = [
+        I.mask
+        for I in an.ideals.ideals
+        if I.mask != full
+        and all(an.close(I.mask | 1 << x) == full for x in bits(full & ~I.mask))
+    ]
+    if sorted(I.mask for I in maximal) != sorted(defined):
+        raise InternalMismatch(
+            f"{A.name}: maximal ideals [{', '.join(I.label for I in maximal)}] "
+            f"differ from the definition's [{', '.join(map(A.set_label, defined))}]"
+        )
     primes = {I.mask for I in an.primes}
     for I in maximal:
-        if I.mask not in primes:
-            witness = next(
-                (x, y)
-                for x in range(A.n)
-                if not I.mask >> x & 1
-                for y in range(A.n)
-                if not I.mask >> y & 1
-                if I.mask >> A.mul[x][y] & 1
-            )
-            raise InternalMismatch(
-                f"{A.name}: maximal ideal {I.label} is not prime; product of "
-                f"{A.labels[witness[0]]} and {A.labels[witness[1]]} falls inside"
-            )
+        if I.mask in primes:
+            continue
+        outside = [x for x in range(A.n) if not I.mask >> x & 1]
+        for x in outside:
+            for y in outside:
+                if I.mask >> A.mul[x][y] & 1:
+                    raise InternalMismatch(
+                        f"{A.name}: maximal ideal {I.label} is not prime; product "
+                        f"of {A.labels[x]} and {A.labels[y]} falls inside"
+                    )
+        raise InternalMismatch(
+            f"{A.name}: maximal ideal {I.label} is prime but missing from the "
+            f"prime ideals"
+        )
     return MaximalPrimeReport(
         maximal_count=len(maximal),
         prime_count=len(primes),

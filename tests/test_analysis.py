@@ -228,6 +228,15 @@ def test_building_ideals_and_radicals_closes_each_mask_once(monkeypatch):
     assert set(masks) == set(an._closures)
 
 
+def test_radical_arrow_reads_the_principal_ideals(monkeypatch):
+    an = Analysis(osr.build_zmod(12))
+    principal = an.principal
+    calls = _counting(monkeypatch, osr.ideals, "principal_ideal")
+    radical = an.radical_principal
+    assert calls == []
+    assert len(principal) == len(radical) == an.owner.n
+
+
 def test_second_run_recomputes_everything(monkeypatch):
     A = osr.build_zmod(6)
     closes = _counting(monkeypatch, osr.ideals, "_close")

@@ -271,6 +271,16 @@ def test_nilpotent_chain_quantale_is_integral():
     assert Q.mul[1][1] == 0  # the middle element squares to bottom
 
 
+def test_repr_calls_a_product_other_than_meet_a_quantale():
+    # both lattices are distributive, so frames under meet, but neither
+    # multiplies by meet
+    z4_ideals = osr.enumerate_ideals(osr.build_zmod(4)).lattice
+    for Q in (z4_ideals, osr.nilpotent_chain_quantale()):
+        assert Q.is_distributive and Q.mul != Q.meet
+        assert repr(Q) == f"FiniteLattice({Q.name!r}, n=3, quantale)"
+    assert repr(osr.chain_frame(3)) == "FiniteLattice('chain3', n=3, frame)"
+
+
 def test_subset_lattice_checks_meets_and_joins():
     # {}, {0}, {1} and {0,1,2}: the join of {0} and {1} is the whole set
     masks = (0b000, 0b001, 0b010, 0b111)

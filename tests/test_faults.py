@@ -1,0 +1,59 @@
+"""Fault injection: each row breaks one function of the library (a
+monkeypatch), runs every check on one instance, and names the verdicts
+that must fail.  A fault must show as failed verdicts, never as an aborted
+report or as a report that passes."""
+
+import pytest
+
+import osr
+import osr.spectrum
+from osr.report import run_checks
+
+# the real functions, taken before any row replaces them
+enumerate_primes = osr.spectrum.enumerate_primes
+enumerate_maximal = osr.spectrum.enumerate_maximal
+MAXIMAL = {"maximal-implies-prime"}
+
+
+def _drop_a_maximal_prime(A):
+    """The primes without the first one that is also maximal."""
+    primes = enumerate_primes(A)
+    maximal = {I.mask for I in enumerate_maximal(A)}
+    i = next(i for i, I in enumerate(primes) if I.mask in maximal)
+    return primes[:i] + primes[i + 1 :]
+
+
+def _every_prime_is_maximal(A):
+    return enumerate_primes(A)
+
+
+def _drop_a_maximal_ideal(A):
+    return enumerate_maximal(A)[:-1]
+
+
+FAULTS = [
+    # (function of osr.spectrum replaced, fault, instance, verdicts that must fail)
+    ("enumerate_primes", _drop_a_maximal_prime, "zmod:6", MAXIMAL),
+    ("enumerate_primes", _drop_a_maximal_prime, "chain:4", MAXIMAL),
+    ("enumerate_primes", _drop_a_maximal_prime, "zmod:12", MAXIMAL),
+    ("enumerate_maximal", _every_prime_is_maximal, "chain:4", MAXIMAL),
+    ("enumerate_maximal", _every_prime_is_maximal, "chain:9", MAXIMAL),
+    ("enumerate_maximal", _drop_a_maximal_ideal, "zmod:6", MAXIMAL),
+    ("enumerate_maximal", _drop_a_maximal_ideal, "bool:3", MAXIMAL),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fault, spec, must_fail",
+    FAULTS,
+    ids=[f"{fault.__name__.strip('_')}-{spec}" for _, fault, spec, _ in FAULTS],
+)
+def test_fault_fails_its_verdicts_without_aborting(
+    monkeypatch, name, fault, spec, must_fail
+):
+    A = osr.from_builder_spec(spec)
+    assert run_checks(A).all_passed
+    monkeypatch.setattr(osr.spectrum, name, fault)
+    report = run_checks(A)  # an exception here is an aborted report
+    failed = {v.check for v in report.verdicts if not v.passed}
+    assert must_fail <= failed, failed

@@ -229,31 +229,23 @@ def test_extend_to_quantale_hom():
         extend_to_quantale_hom(
             classify(z4, osr.build_from_quantale(Q), (1, 1, 1, 1)), Q, iq
         )
-    not_integral = osr.nilpotent_chain_quantale()
     bad = osr.core.lattice_from_order(
         ("a", "b"), (0b11, 0b10), mul=((0, 0), (0, 1)), unit=1, name="fine"
     )
     assert bad.is_integral_quantale  # sanity: this one is fine
-    with pytest.raises(NotIntegral):
-        # a quantale whose unit is not the top: impossible to build honestly,
-        # so check the guard through a non-integral flag instead
-        extend_to_quantale_hom(f, _drop_integrality(Q), iq)
-
-
-def _drop_integrality(Q):
-    return osr.FiniteLattice(
-        name=Q.name,
-        labels=Q.labels,
-        leq=Q.leq,
-        join=Q.join,
-        meet=Q.meet,
-        bottom=Q.bottom,
-        top=Q.top,
-        mul=Q.mul,
-        unit=Q.unit,
-        is_distributive=Q.is_distributive,
-        is_integral_quantale=False,
+    # a quantale on the chain 0 < u < t whose unit u is not the top
+    not_integral = osr.core.lattice_from_order(
+        ("0", "u", "t"),
+        (0b111, 0b110, 0b100),
+        mul=((0, 0, 0), (0, 1, 2), (0, 2, 2)),
+        unit=1,
+        name="nonintegral",
     )
+    assert not not_integral.is_integral_quantale
+    with pytest.raises(NotIntegral):
+        extend_to_quantale_hom(f, not_integral, iq)
+    with pytest.raises(NotIntegral):
+        check_quantale_universality(z4, not_integral)
 
 
 def test_quantale_universality_examples():

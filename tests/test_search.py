@@ -73,11 +73,12 @@ def _random_order(rng, size, allowed):
     return rows
 
 
-def _random_problem(rng):
-    """A random problem on n <= 5 variables and m <= 4 values.  Most are
-    built around a random map ``g`` that satisfies them, so that a fault
-    shows as a lost or an extra solution instead of hiding among problems
-    that have none."""
+def _random_problem(rng, commutative):
+    """A random problem on n <= 5 variables and m <= 4 values, its tables
+    ``S`` and ``T`` commutative when ``commutative``, else each ``T`` only
+    by a coin toss and ``S`` by chance.  Most are built around a random map
+    ``g`` that satisfies them, so that a fault shows as a lost or an extra
+    solution instead of hiding among problems that have none."""
     n, m = rng.randint(1, 5), rng.randint(1, 4)
     leq = _random_order(rng, m, lambda i, j: True)
     g = [rng.randrange(m) for _ in range(n)]
@@ -94,27 +95,30 @@ def _random_problem(rng):
     laws = []
     for _ in range(rng.randint(0, 2)):
         T = [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
-        if rng.random() < 0.5:
+        if commutative or rng.random() < 0.5:
             T = [[T[min(a, b)][max(a, b)] for b in range(m)] for a in range(m)]
         T = tuple(map(tuple, T))
         equal = rng.random() < 0.5
-        S = tuple(
-            tuple(
+        S = [
+            [
                 rng.choice(
                     [z for z in range(n) if fits(z, T[g[x]][g[y]], equal)]
                     or range(n)
                 )
                 for y in range(n)
-            )
+            ]
             for x in range(n)
-        )
-        laws.append((S, T, equal))
+        ]
+        if commutative:
+            S = [[S[min(x, y)][max(x, y)] for y in range(n)] for x in range(n)]
+        laws.append((tuple(map(tuple, S)), T, equal))
     return n, m, leq, pins, order, laws
 
 
-def _brute_force(n, m, leq, pins, order, laws):
+def _brute_force(n, m, leq, pins, order, laws, mirrored=True):
     """Every value array, in lexicographic order, satisfying the pins, the
-    order pairs and the table laws, each checked as written."""
+    order pairs and the table laws, each checked as written: for all
+    ``x, y``, or only for ``x <= y`` when not ``mirrored``."""
 
     def le(a, b):
         return leq[a] >> b & 1
@@ -130,7 +134,7 @@ def _brute_force(n, m, leq, pins, order, laws):
             f[S[x][y]] == T[f[x]][f[y]] if equal else le(f[S[x][y]], T[f[x]][f[y]])
             for S, T, equal in laws
             for x in range(n)
-            for y in range(n)
+            for y in range(0 if mirrored else x, n)
         )
     ]
 
@@ -141,31 +145,75 @@ def _rank_pattern(s, x, y):
     return tuple(distinct.index(v) for v in (s, x, y))
 
 
-def test_engine_matches_brute_force_on_random_problems():
-    # every way s = S[x][y], x and y can be ordered, each reached both with a
-    # commutative target table and with one that is not (the transposed
-    # support tables, which no builder's commutative tables reach)
-    all_patterns = {_rank_pattern(*t) for t in product(range(3), repeat=3)}
-    assert len(all_patterns) == 13
-    reached = {True: set(), False: set()}
+def _search(n, m, leq, pins, order, laws):
+    got = []
+    forward_search(n, SearchTarget(leq), pins, order, laws, got.append, layer="random")
+    return got
+
+
+def test_engine_matches_brute_force_on_commutative_problems():
+    # every way s = S[x][y] can be ordered against x <= y: five with x < y
+    # and three with x = y
+    all_patterns = {
+        _rank_pattern(s, x, y) for s in range(3) for x in range(3) for y in range(x, 3)
+    }
+    assert len(all_patterns) == 8
+    reached = set()
     with_solutions = 0
     rng = random.Random(15)
     for _ in range(500):
-        n, m, leq, pins, order, laws = _random_problem(rng)
+        problem = _random_problem(rng, commutative=True)
+        n, m, leq, pins, order, laws = problem
         for S, T, _ in laws:
-            symmetric = all(T[a][b] == T[b][a] for a in range(m) for b in range(m))
-            reached[symmetric].update(
-                _rank_pattern(S[x][y], x, y) for x in range(n) for y in range(n)
+            assert all(S[x][y] == S[y][x] for x in range(n) for y in range(n))
+            assert all(T[a][b] == T[b][a] for a in range(m) for b in range(m))
+            reached.update(
+                _rank_pattern(S[x][y], x, y) for x in range(n) for y in range(x, n)
             )
-        got = []
-        forward_search(
-            n, SearchTarget(leq), pins, order, laws, got.append, layer="random"
-        )
-        expected = _brute_force(n, m, leq, pins, order, laws)
-        assert got == expected, (n, m, leq, pins, order, laws)
+        expected = _brute_force(*problem)
+        assert _search(*problem) == expected, problem
         with_solutions += bool(expected)
-    assert reached[True] == reached[False] == all_patterns
+    assert reached == all_patterns
     assert 50 < with_solutions < 450
+
+
+def test_engine_loses_no_solution_on_non_commutative_problems():
+    # only the instances x <= y are constraints, so a table that is not
+    # commutative can add solutions, never remove one
+    with_solutions = with_extra = 0
+    rng = random.Random(15)
+    for _ in range(500):
+        problem = _random_problem(rng, commutative=False)
+        got = _search(*problem)
+        expected = _brute_force(*problem)
+        assert got == _brute_force(*problem, mirrored=False), problem
+        assert set(got) >= set(expected), problem
+        with_solutions += bool(expected)
+        with_extra += len(got) > len(expected)
+    assert 50 < with_solutions < 450
+    assert with_extra > 0
+
+
+def test_a_table_that_is_not_commutative_fails_the_leaf_check():
+    # chain3 with one product changed, built without validate: 2 * 1 is 0
+    # but 1 * 2 is 1, so the instance at (2, 1) is a dropped constraint
+    A = osr.build_chain_lattice(3)
+    mul = (A.mul[0], A.mul[1], (0, 0, 2))
+    assert A.mul[2][1] == A.mul[1][2] == 1
+    A = A._replace(name="noncomm", mul=mul)
+    B = osr.two()
+    problem = (
+        A.n,
+        B.n,
+        B.leq,
+        ((A.zero, B.zero, False), (A.one, B.one, True)),
+        A.leq,
+        ((A.add, B.add, False), (A.mul, B.mul, True)),
+    )
+    full, upper = _brute_force(*problem), _brute_force(*problem, mirrored=False)
+    assert set(upper) - set(full) == {(0, 1, 1)}
+    with pytest.raises(InternalMismatch, match=r"map \[0, 1, 1\] from noncomm"):
+        osr.enumerate_subadditive(A, B)
 
 
 def _consistent_prefixes(A, B):
@@ -229,6 +277,27 @@ def test_support_tables_are_built_once_per_target_structure(monkeypatch):
     # an equal but fresh target builds its own: nothing is kept per process
     assert len(built) == 2 * count
     assert set(built[count:]) == {fresh.search_target}
+
+
+def test_a_quantale_target_is_searched_through_its_semiring(monkeypatch):
+    built = []
+    real = SearchTarget._build
+
+    def counting(self, T, equal, shape):
+        built.append((self, T, equal, shape))
+        return real(self, T, equal, shape)
+
+    A, Q = osr.build_chain_lattice(6), osr.chain_frame(3)
+    L = osr.enumerate_ideals(A).lattice
+    monkeypatch.setattr(SearchTarget, "_build", counting)
+    osr.enumerate_subadditive(A, Q.semiring)
+    osr.enumerate_quantale_homs(L, Q)
+    # one set of support tables: the product's "=" tables, which both
+    # searches post, are built once
+    assert {target for target, *_ in built} == {Q.semiring.search_target}
+    laws = [(T, equal, shape) for _, T, equal, shape in built]
+    assert len(laws) == len(set(laws))
+    assert any(T == Q.mul and equal for T, equal, _ in laws)
 
 
 def test_morphism_leaf_failing_classification_raises(monkeypatch):
