@@ -143,9 +143,9 @@ class Analysis:
         """The universal map x -> <x>, as indices into ``ideals``."""
         from .ideals import principal_ideal
 
-        A = self.owner
         return tuple(
-            self.ideals.index_of(principal_ideal(A, x).mask) for x in range(A.n)
+            self.ideals.index_of(principal_ideal(self, x).mask)
+            for x in range(self.owner.n)
         )
 
     @_structure

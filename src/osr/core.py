@@ -4,6 +4,15 @@ Carriers are canonicalized to indices ``0..n-1`` in input order and every
 subset downstream is an int bitmask (bit ``i`` = element ``i``).  All
 structures are frozen; axiom checking is always exhaustive -- at desk scale
 (n <= 24) there is no reason for a trusted fast path.
+
+The exhaustive re-check of a map (``morphisms.classify``,
+``homs.is_quantale_hom``) reads each structure's tables as bytes, one byte
+per entry: the source side of a law is one ``bytes.translate`` of its flat
+table (``flat``) by the map's ``lane_table``, the target side one
+``translate`` of the map's values per row (``rows``), and an order test
+compares lower sets in planes of eight elements (``lanes``, ``all_le``).
+These byte forms hold structures of at most 256 elements; a larger one is
+refused with SizeLimit.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .search import SearchTarget
+    from .search import SearchSource, SearchTarget
 
 MAX_ELEMENTS = 24  # ideal enumeration is 2^n in the worst case downstream
 
@@ -95,9 +104,33 @@ def gather(idx: Iterable[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*idx)
 
 
-def image(T: Table, g: Callable[[Sequence], tuple]) -> tuple[int, ...]:
-    """``T[v[i]][v[j]]`` for all ``i, j`` (row-major), where ``g = gather(v)``."""
-    return tuple(chain.from_iterable(map(g, g(T))))
+def lane_table(values: Sequence[int]) -> bytes:
+    """The ``bytes.translate`` table of a value array: byte ``i`` becomes
+    ``values[i]``, so ``flat.translate(lane_table(values))`` is the image of
+    every entry of ``flat``.  The bytes past the array become 0."""
+    return bytes(values).ljust(256, b"\0")
+
+
+def _check_lanes(S: FiniteOrderedSemiring | FiniteLattice) -> None:
+    """Refuse a structure whose elements do not fit in one byte each."""
+    if S.n > 256:
+        raise SizeLimit(
+            f"leaf check: {S.name} has {S.n} elements; byte lanes hold 256"
+        )
+
+
+def _flat(S: FiniteOrderedSemiring | FiniteLattice, *tables: Table) -> tuple:
+    """Each table of ``S`` row-major as bytes: the source side of its laws."""
+    _check_lanes(S)
+    return tuple(bytes(chain.from_iterable(T)) for T in tables)
+
+
+def _rows(S: FiniteOrderedSemiring | FiniteLattice, *tables: Table) -> tuple:
+    """The rows of each table of ``S`` as translate tables: the target side
+    of its laws, ``T[v[i]][v[j]]`` for all ``j`` being
+    ``bytes(v).translate(rows[v[i]])``."""
+    _check_lanes(S)
+    return tuple(tuple(map(lane_table, T)) for T in tables)
 
 
 def bits_label(mask: int) -> str:
@@ -236,9 +269,12 @@ class FiniteOrderedSemiring(Record):
         return tuple(out)
 
     @cached_property
-    def order_pairs(self) -> frozenset[tuple[int, int]]:
-        """Every pair ``(i, j)`` with ``i <= j``."""
-        return frozenset((i, j) for i in range(self.n) for j in bits(self.leq[i]))
+    def search_source(self) -> SearchSource:
+        """The search engine's source side of maps out of this semiring (its
+        order pairs and law instances), kept as long as the semiring."""
+        from .search import SearchSource
+
+        return SearchSource(self.leq)
 
     @cached_property
     def search_target(self) -> SearchTarget:
@@ -251,11 +287,41 @@ class FiniteOrderedSemiring(Record):
         return SearchTarget(self.leq)
 
     @cached_property
-    def gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
-        """``gather``s of the flat ``add`` and ``mul`` tables and of the two
-        sides of ``order_pairs``: a value array's images of all of them."""
-        low, high = zip(*self.order_pairs)
-        return tuple(map(gather, (chain(*self.add), chain(*self.mul), low, high)))
+    def flat(self) -> tuple[bytes, bytes, bytes, bytes]:
+        """The flat ``add`` and ``mul`` tables and the two sides of every
+        pair ``i <= j``, as bytes: one ``translate`` by a value array's
+        ``lane_table`` is its image of each."""
+        low, high = zip(*((i, j) for i in range(self.n) for j in bits(self.leq[i])))
+        return _flat(self, self.add, self.mul, (low,), (high,))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        """The rows of ``add`` and ``mul`` as translate tables."""
+        return _rows(self, self.add, self.mul)
+
+    @cached_property
+    def lanes(self) -> tuple[bytes, ...]:
+        """``lower_masks`` in planes of eight elements: plane ``p`` is the
+        translate table sending each element to byte ``p`` of its lower
+        set."""
+        _check_lanes(self)
+        lower = self.lower_masks
+        return tuple(
+            lane_table([mask >> shift & 255 for mask in lower])
+            for shift in range(0, self.n, 8)
+        )
+
+    def all_le(self, low: bytes, high: bytes) -> bool:
+        """Whether ``low[k] <= high[k]`` for every ``k``.  In a preorder
+        ``a <= b`` iff the lower set of ``a`` is inside that of ``b``, so
+        each plane of ``lanes`` tests eight elements of every lower set at
+        once, one AND-NOT of two big ints."""
+        for lane in self.lanes:
+            if int.from_bytes(low.translate(lane), "big") & ~int.from_bytes(
+                high.translate(lane), "big"
+            ):
+                return False
+        return True
 
     @property
     def is_discrete(self) -> bool:
@@ -505,9 +571,22 @@ class FiniteLattice(Record):
         return build_from_quantale(self)
 
     @cached_property
-    def gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
-        """``gather``s of the flat ``join`` and ``mul`` tables."""
-        return gather(chain(*self.join)), gather(chain(*self.mul))
+    def search_source(self) -> SearchSource:
+        """The search engine's source side of maps out of this lattice (its
+        order pairs and law instances), kept as long as the lattice."""
+        from .search import SearchSource
+
+        return SearchSource(self.leq)
+
+    @cached_property
+    def flat(self) -> tuple[bytes, bytes]:
+        """The flat ``join`` and ``mul`` tables as bytes."""
+        return _flat(self, self.join, self.mul)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        """The rows of ``join`` and ``mul`` as translate tables."""
+        return _rows(self, self.join, self.mul)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:

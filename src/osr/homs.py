@@ -12,14 +12,22 @@ subadditive morphisms to compare against, which the caller enumerates.
 Enumeration runs the same forward-checking engine as the morphism search
 (``search.forward_search``) over every element of the source, each
 preservation law narrowing the values of the last element it mentions.
+Each map it finds is re-checked exhaustively by ``is_quantale_hom``, which
+compares the two sides of each law as byte strings of whole tables, as
+``morphisms.classify`` does.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import FiniteLattice, gather, image
-from .errors import InternalMismatch, NotAQuantale, UniversalityFailure
+from .core import FiniteLattice, gather, lane_table
+from .errors import (
+    EndpointMismatch,
+    InternalMismatch,
+    NotAQuantale,
+    UniversalityFailure,
+)
 from .morphisms import MorphismTable
 from .search import forward_search
 
@@ -41,17 +49,27 @@ class LatticeHom(NamedTuple):
 def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, values) -> bool:
     """Exhaustive check: preserves binary joins, bottom, unit, and product.
 
-    Every pair is compared, one gather per table and one comparison: the
-    images of L's joins (products) against Q's joins (products) of images."""
+    Every pair is compared, one byte string per side of each law and one
+    comparison: the images of L's joins (products) under the map's
+    ``lane_table`` against Q's joins (products) of images, one
+    ``translate`` of the values per row of ``Q.rows``.  A value array that
+    is not a map from L into Q raises EndpointMismatch."""
+    values = tuple(values)
+    if len(values) != L.n or min(values) < 0 or max(values) >= Q.n:
+        raise EndpointMismatch(
+            f"value array of length {len(values)} does not map {L.name} into {Q.name}"
+        )
     if values[L.bottom] != Q.bottom:
         return False
     if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
         raise NotAQuantale("both lattices must carry a multiplication")
     if values[L.unit] != Q.unit:
         return False
-    gjoin, gmul = L.gathers
-    g = gather(values)
-    return gjoin(values) == image(Q.join, g) and gmul(values) == image(Q.mul, g)
+    (join, mul), (join_rows, mul_rows) = L.flat, Q.rows
+    vbytes, lane, g = bytes(values), lane_table(values), gather(values)
+    joins = b"".join(map(vbytes.translate, g(join_rows)))
+    prods = b"".join(map(vbytes.translate, g(mul_rows)))
+    return join.translate(lane) == joins and mul.translate(lane) == prods
 
 
 def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeHom]:
@@ -75,10 +93,9 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeH
         out.append(LatticeHom(L, Q, values))
 
     forward_search(
-        L.n,
+        L.search_source,
         Q.semiring.search_target,
         ((L.bottom, Q.bottom, True), (L.unit, Q.unit, True)),
-        L.leq,
         ((L.join, Q.join, True), (L.mul, Q.mul, True)),
         leaf,
         layer=f"hom search {L.name} -> {Q.name}",

@@ -170,14 +170,18 @@ def generated_ideal_by_sums(A: FiniteOrderedSemiring, members: Members) -> int:
     return mask
 
 
-def principal_ideal(A: FiniteOrderedSemiring, x: int) -> Ideal:
+def principal_ideal(A: Source, x: int) -> Ideal:
     """The ideal generated by one element: everything below some multiple.
 
     Reads the direct one-generator description, the cached ``multiples``
-    row, and asserts agreement with the fixed-point closure.
+    row, and asserts agreement with the fixed-point closure of the zero
+    ideal and ``x``, read through the analysis: ``enumerate_ideals`` closes
+    that same mask, so after it no subset is closed again.
     """
+    an = analysis(A)
+    A, close = an.owner, an.close
     mask = A.multiples[x]
-    closed = _close(A, 1 << x)
+    closed = close(close(0) | 1 << x)
     if mask != closed:
         raise InternalMismatch(
             f"principal ideal of {A.labels[x]} in {A.name}: direct formula gives "

@@ -3,10 +3,10 @@
 A subadditive morphism is monotone with f(0) <= 0, f(1) = 1,
 f(x+y) <= f(x)+f(y) and f(xy) = f(x)f(y).  A homomorphism additionally has
 f(0) = 0 and f(x+y) = f(x)+f(y).  Classification flags are always computed
-exhaustively over all element pairs, each law as C-level gathers of whole
-tables (``core.gather``, ``core.image``) and one comparison.  Enumeration
-runs the forward-checking engine of ``search`` and reclassifies every map it
-finds.
+exhaustively over all element pairs, each law as two byte strings of
+whole tables, one ``bytes.translate`` per side (``core.lane_table``), and
+one comparison.  Enumeration runs the forward-checking engine of ``search``
+and reclassifies every map it finds.
 
 The fixed global convention tying morphisms to ideals is f <-> f^{-1}(0):
 a map to the two-element chain classifies the ideal of elements sent to
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import FiniteOrderedSemiring, gather, image
+from .core import FiniteOrderedSemiring, gather, lane_table
 from .errors import EndpointMismatch, InternalMismatch
 from .search import forward_search
 
@@ -91,35 +91,37 @@ def classify(
 ) -> MorphismTable:
     """Compute every classification flag for the raw value array.
 
-    Each flag covers every element pair in one gather per table and one
-    comparison: ``A.gathers`` and ``image`` give both sides of every law as
-    tuples.  An inequality (one ``issuperset`` of ``B.order_pairs``) is only
-    tested where its equation fails, since B's order is reflexive."""
+    Each flag covers every element pair with one byte per pair: the images
+    of ``A.flat`` under the map's ``lane_table`` against B's tables at the
+    images, ``T[f(x)][f(y)]``, one ``translate`` of the values per row of
+    ``B.rows``.  An inequality (``B.all_le``) is only tested where its
+    equation fails, since B's order is reflexive."""
     values = tuple(values)
     if len(values) != A.n or min(values) < 0 or max(values) >= B.n:
         raise EndpointMismatch(
             f"value array of length {len(values)} does not map {A.name} into {B.name}"
         )
-    gadd, gmul, low, high = A.gathers
-    g = gather(values)
-    sums, prods = gadd(values), gmul(values)
-    target_sums, target_prods = image(B.add, g), image(B.mul, g)
+    (add, mul, low, high), (add_rows, mul_rows) = A.flat, B.rows
+    vbytes, lane, g = bytes(values), lane_table(values), gather(values)
+    sums, prods = add.translate(lane), mul.translate(lane)
+    target_sums = b"".join(map(vbytes.translate, g(add_rows)))
+    target_prods = b"".join(map(vbytes.translate, g(mul_rows)))
     additive, multiplicative = sums == target_sums, prods == target_prods
-    below = B.order_pairs.issuperset
+    below = B.all_le
     f0, f1 = values[A.zero], values[A.one]
     return MorphismTable(
         source=A,
         target=B,
         values=values,
-        monotone=below(zip(low(values), high(values))),
+        monotone=below(low.translate(lane), high.translate(lane)),
         zero_subzero=B.le(f0, B.zero),
         zero_strict=f0 == B.zero,
         unit_strict=f1 == B.one,
         unit_subunit=B.le(f1, B.one),
-        subadditive=additive or below(zip(sums, target_sums)),
+        subadditive=additive or below(sums, target_sums),
         additive=additive,
         multiplicative=multiplicative,
-        submultiplicative=multiplicative or below(zip(prods, target_prods)),
+        submultiplicative=multiplicative or below(prods, target_prods),
     )
 
 
@@ -151,10 +153,9 @@ def _search(
         out.append(table)
 
     forward_search(
-        A.n,
+        A.search_source,
         B.search_target,
         pins,
-        A.leq,
         ((A.add, B.add, False), (A.mul, B.mul, mul_equal)),
         leaf,
         layer=f"morphism search {A.name} -> {B.name}",

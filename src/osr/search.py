@@ -25,6 +25,12 @@ lives as long as the semiring (its ``search_target``).  Morphism search
 semiring, so each target order has one set of tables.  Equal tables are
 one object, so equal constraints on the same variables are applied once,
 and a table that allows every value is dropped.
+
+The constraints depend on the source alone, up to the tables they look up.
+A ``SearchSource`` holds the source's order pairs and, for each of its law
+tables, every instance with its shape, grouped by shape; it lives as long
+as the source semiring or lattice (its ``search_source``).  A search then
+only looks up one support table per shape.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ Law = tuple[Table, Table, bool]  # S, T, True for "=" else "<="
 # three), else the slot of its value in the support table's index, the
 # earlier variables taking slots in ascending order.
 NEW = -1
+FIXED = (NEW, NEW, NEW)  # s = x = y: the table is a mask, folded into the domain
 Shape = tuple[int, int, int]
 Support = Union[int, tuple]  # a mask, or masks indexed by one or two values
 
@@ -55,7 +62,7 @@ def _shape(s: int, x: int, y: int) -> tuple[Shape, int, tuple[int, ...]]:
         if s > x:
             return (NEW, 0, 0), s, (x,)
         if s == x:
-            return (NEW, NEW, NEW), x, ()
+            return FIXED, x, ()
         return (0, NEW, NEW), x, (s,)
     if s > y:
         return (NEW, 0, 1), s, (x, y)
@@ -66,6 +73,36 @@ def _shape(s: int, x: int, y: int) -> tuple[Shape, int, tuple[int, ...]]:
     if s == x:
         return (0, 0, NEW), y, (x,)
     return (0, 1, NEW), y, (s, x)
+
+
+class SearchSource(dict):
+    """The source side of every search out of one poset: its order pairs
+    and, for each law table ``S`` (a key, grouped on first lookup), the
+    instances ``f(S[x][y]) R T[f(x)][f(y)]`` for all ``x <= y`` as
+    ``(narrowed variable, indexing variables)``, grouped by shape.
+
+    ``ups`` holds each order pair ``i <= j`` with ``i < j`` as
+    ``(j, (i,))``, narrowing ``f(j)`` to the values above ``f(i)``;
+    ``downs`` each one with ``j < i`` as ``(i, (j,))``, narrowing ``f(i)``
+    to those below ``f(j)``.
+    """
+
+    def __init__(self, order: Sequence[int]) -> None:
+        super().__init__()
+        self.n = len(order)
+        pairs = [(i, j) for i in range(self.n) for j in bits(order[i]) if i != j]
+        self.ups = tuple((j, (i,)) for i, j in pairs if i < j)
+        self.downs = tuple((i, (j,)) for i, j in pairs if j < i)
+
+    def __missing__(self, S: Table) -> dict[Shape, list]:
+        groups: dict[Shape, list] = {}
+        for x in range(self.n):
+            row = S[x]
+            for y in range(x, self.n):
+                shape, k, index = _shape(row[y], x, y)
+                groups.setdefault(shape, []).append((k, index))
+        self[S] = groups
+        return groups
 
 
 class _LawSupports(dict):
@@ -140,10 +177,9 @@ class SearchTarget:
 
 
 def forward_search(
-    n: int,
+    source: SearchSource,
     target: SearchTarget,
     pins: Sequence[Pin],
-    order: Sequence[int],
     laws: Sequence[Law],
     leaf: Callable[[tuple[int, ...]], None],
     *,
@@ -151,41 +187,38 @@ def forward_search(
 ) -> None:
     """Call ``leaf`` on every value array satisfying all constraints.
 
-    ``order`` is the source order as bitmask rows (bit ``j`` of row ``i``
-    set iff ``i <= j``); the target order and the tables ``T`` of ``laws``
-    are ``target``'s.  Raises SizeLimit naming ``layer`` once more than
-    ``NODE_BUDGET`` nodes (values that pass every constraint) are needed.
+    The source order and the tables ``S`` of ``laws`` are ``source``'s, the
+    target order and the tables ``T`` are ``target``'s.  Raises SizeLimit
+    naming ``layer`` once more than ``NODE_BUDGET`` nodes (values that pass
+    every constraint) are needed.
 
     A table that is not commutative can only lose constraints: every
     solution is still found, and each extra leaf fails the callers'
     exhaustive re-check (``classify``, ``is_quantale_hom``) as
     InternalMismatch.
     """
-    budget = NODE_BUDGET
+    n, budget = source.n, NODE_BUDGET
     domain = [target.full] * n
     for var, value, equal in pins:
         domain[var] &= (1 << value) if equal else target.below[value]
     # (narrowed variable, table id, indexing variables) -> table, so that
     # equal constraints on the same variables merge
     narrow: dict[tuple, tuple] = {}
-    up, down = target.up, target.down
-    for i in range(n):
-        for j in bits(order[i]):
-            if i < j and up is not None:
-                narrow[j, id(up), (i,)] = up
-            elif j < i and down is not None:
-                narrow[i, id(down), (j,)] = down
+    for table, pairs in ((target.up, source.ups), (target.down, source.downs)):
+        if table is not None:
+            for k, index in pairs:
+                narrow[k, id(table), index] = table
     for S, T, equal in laws:
         tables = target.supports(T, equal)
-        for x in range(n):
-            row = S[x]
-            for y in range(x, n):
-                shape, k, index = _shape(row[y], x, y)
-                table = tables[shape]
-                if not index:
+        for shape, instances in source[S].items():
+            table = tables[shape]
+            if shape == FIXED:
+                for k, _ in instances:
                     domain[k] &= table
-                elif table is not None:
-                    narrow[k, id(table), index] = table
+            elif table is not None:
+                key = id(table)
+                for k, index in instances:
+                    narrow[k, key, index] = table
     unary: list[list] = [[] for _ in range(n)]
     binary: list[list] = [[] for _ in range(n)]
     for (k, _, index), table in narrow.items():

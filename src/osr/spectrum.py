@@ -206,7 +206,7 @@ def check_degeneracy_equivalence(A: Source) -> DegeneracyReport:
             f"{flags[0]}, one-below-zero={flags[1]}, no-primes={flags[2]}, "
             f"no-maximal={flags[3]}"
         )
-    zero_ideal_is_all = principal_ideal(A, A.zero).mask == A.full_mask
+    zero_ideal_is_all = principal_ideal(an, A.zero).mask == A.full_mask
     if zero_ideal_is_all != conds.all_below_zero:
         raise InternalMismatch(
             f"{A.name}: zero ideal covers the carrier iff everything is below zero"

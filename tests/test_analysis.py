@@ -237,6 +237,16 @@ def test_radical_arrow_reads_the_principal_ideals(monkeypatch):
     assert len(principal) == len(radical) == an.owner.n
 
 
+def test_principal_ideals_are_read_from_the_closures_of_the_ideals(monkeypatch):
+    an = Analysis(osr.build_zmod(12))
+    ideals = an.ideals
+    closes = _counting(monkeypatch, osr.ideals, "_close")
+    principal = an.principal
+    osr.check_degeneracy_equivalence(an)
+    assert closes == []
+    assert [ideals.ideals[i].mask for i in principal] == list(an.owner.multiples)
+
+
 def test_second_run_recomputes_everything(monkeypatch):
     A = osr.build_zmod(6)
     closes = _counting(monkeypatch, osr.ideals, "_close")

@@ -1,6 +1,7 @@
 """The quantale-hom enumeration against raw function search, and the
 universal-property check that both adjunctions and the reflection share."""
 
+import random
 from itertools import product
 
 import pytest
@@ -8,7 +9,12 @@ import pytest
 import osr
 import osr.homs
 import osr.ideals
-from osr.errors import InternalMismatch, PresentationViolation, UniversalityFailure
+from osr.errors import (
+    EndpointMismatch,
+    InternalMismatch,
+    PresentationViolation,
+    UniversalityFailure,
+)
 from osr.homs import enumerate_quantale_homs, is_quantale_hom, join_extension
 from osr.ideals import enumerate_ideals
 from osr.morphisms import enumerate_subadditive
@@ -183,3 +189,30 @@ def test_join_extension_matches_the_member_fold():
                 grid.join_of(f.values[x] for x in I.members) for I in L.ideals
             )
             assert join_extension(L, grid, f.values) == fold
+
+
+def test_is_quantale_hom_matches_the_pair_walk_on_the_ideals_of_chain24():
+    # Idl(chain:24) is a 24-element chain whose product is its meet, so a
+    # sorted map that keeps bottom and top is a hom and a shuffled one is not
+    L = enumerate_ideals(osr.build_chain_lattice(24)).lattice
+    assert L.n == 24 and L.leq == tuple(-1 << i & (1 << 24) - 1 for i in range(24))
+    rng = random.Random(17)
+    outcomes = []
+    for Q in (L, osr.chain_frame(3), osr.diamond_frame()):
+        for _ in range(150):
+            values = sorted(rng.randrange(Q.n) for _ in range(L.n))
+            values[L.bottom], values[L.unit] = Q.bottom, Q.unit
+            if rng.random() < 0.5:
+                i, j = rng.sample(range(1, L.n - 1), 2)
+                values[i], values[j] = values[j], values[i]
+            want = quantale_hom_by_pair_walk(L, Q, values)
+            assert is_quantale_hom(L, Q, values) == want, (Q.name, values)
+            outcomes.append(want)
+    assert 100 < sum(outcomes) < 400
+
+
+@pytest.mark.parametrize("values", [(0, -1, 2), (0, 1, 2, 2), (0, 1)])
+def test_is_quantale_hom_rejects_a_value_array_that_is_not_a_map(values):
+    L = osr.chain_frame(3)
+    with pytest.raises(EndpointMismatch, match="does not map chain3 into chain3"):
+        is_quantale_hom(L, L, values)

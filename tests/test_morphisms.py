@@ -7,7 +7,7 @@ import pytest
 
 import osr
 from osr import classify, compose, enumerate_sub_submul, enumerate_subadditive, two
-from osr.core import bits
+from osr.core import RawSemiringDescription, bits, validate
 from osr.errors import EndpointMismatch
 
 from .oracle import sub_submul_maps_bruteforce, subadditive_maps_bruteforce
@@ -225,3 +225,50 @@ def test_classify_matches_the_pair_walk_on_random_maps():
                 values = tuple(code // B.n**i % B.n for i in range(A.n))
                 got = classify(A, B, values)
                 assert tuple(got)[2:] == classify_by_pair_walk(A, B, values)
+
+
+def glued_truncnat(cap, glued):
+    """Saturating naturals up to ``cap`` whose top ``glued`` elements are
+    each below the other in the order but kept distinct as elements."""
+    lab = tuple(map(str, range(cap + 1)))
+    return validate(
+        RawSemiringDescription(
+            name=f"truncnat{cap}-glued{glued}",
+            elements=lab,
+            le=tuple(zip(lab, lab[1:])) + ((lab[cap], lab[cap + 1 - glued]),),
+            zero="0",
+            one="1",
+            add_table=tuple(
+                tuple(lab[min(i + j, cap)] for j in range(cap + 1))
+                for i in range(cap + 1)
+            ),
+            mul_table=tuple(
+                tuple(lab[min(i * j, cap)] for j in range(cap + 1))
+                for i in range(cap + 1)
+            ),
+        )
+    )
+
+
+def test_classify_matches_the_pair_walk_on_several_byte_planes():
+    # each byte plane of a target's lower sets holds eight elements, so
+    # these targets take two or three planes; half the maps are sorted, so
+    # that order-respecting maps reach the inequality tests
+    glued = glued_truncnat(11, 3)
+    assert glued.le(11, 9) and glued.le(9, 11) and not glued.le(11, 8)
+    targets = [osr.from_builder_spec(s) for s in ("zmod:12", "chain:24", "truncnat:23")]
+    sources = [*osr.builtin_family(4), glued_truncnat3(), glued]
+    rng = random.Random(17)
+    flags = set()
+    for B in [*targets, glued]:
+        assert len(B.lanes) == (B.n + 7) // 8 >= 2
+        for A in sources:
+            for _ in range(60):
+                values = [rng.randrange(B.n) for _ in range(A.n)]
+                if rng.random() < 0.5:
+                    values.sort()
+                    values[A.zero], values[A.one] = B.zero, B.one
+                got = classify(A, B, values)
+                assert tuple(got)[2:] == classify_by_pair_walk(A, B, values)
+                flags.add(tuple(got)[3:])
+    assert len(flags) > 20  # the flags vary independently, not all False

@@ -15,7 +15,7 @@ import osr.search
 from osr.cli import main
 from osr.errors import InternalMismatch, SizeLimit
 from osr.report import run_checks
-from osr.search import SearchTarget, forward_search
+from osr.search import SearchSource, SearchTarget, forward_search
 
 from .oracle import sub_submul_maps_bruteforce, subadditive_maps_bruteforce
 
@@ -147,7 +147,8 @@ def _rank_pattern(s, x, y):
 
 def _search(n, m, leq, pins, order, laws):
     got = []
-    forward_search(n, SearchTarget(leq), pins, order, laws, got.append, layer="random")
+    source, target = SearchSource(order), SearchTarget(leq)
+    forward_search(source, target, pins, laws, got.append, layer="random")
     return got
 
 
@@ -300,6 +301,67 @@ def test_a_quantale_target_is_searched_through_its_semiring(monkeypatch):
     assert any(T == Q.mul and equal for T, equal, _ in laws)
 
 
+def test_a_second_search_from_the_same_source_builds_no_new_source(monkeypatch):
+    made, grouped = [], []
+    real_init, real_missing = SearchSource.__init__, SearchSource.__missing__
+
+    def init(self, order):
+        made.append(self)
+        real_init(self, order)
+
+    def missing(self, S):
+        grouped.append((self, S))
+        return real_missing(self, S)
+
+    monkeypatch.setattr(SearchSource, "__init__", init)
+    monkeypatch.setattr(SearchSource, "__missing__", missing)
+    A = osr.build_chain_lattice(6)
+    for B in (osr.two(), osr.build_chain_lattice(3), osr.two()):
+        osr.enumerate_subadditive(A, B)
+        osr.enumerate_sub_submul(A, B)
+    assert made == [A.search_source]
+    assert grouped == [(A.search_source, A.add), (A.search_source, A.mul)]
+    L = osr.enumerate_ideals(A).lattice
+    for Q in (osr.chain_frame(2), osr.chain_frame(3)):
+        osr.enumerate_quantale_homs(L, Q)
+    assert made == [A.search_source, L.search_source]
+    assert grouped[2:] == [(L.search_source, L.join), (L.search_source, L.mul)]
+
+
+def _chain_of(n):
+    """An n-element chain as a semiring (max, min) and as a quantale,
+    built from its tables without validation."""
+    leq = tuple(-1 << i & (1 << n) - 1 for i in range(n))
+    join = tuple(tuple(map(max, [i] * n, range(n))) for i in range(n))
+    meet = tuple(tuple(map(min, [i] * n, range(n))) for i in range(n))
+    labels = tuple(map(str, range(n)))
+    A = osr.FiniteOrderedSemiring(f"chain{n}", labels, leq, 0, n - 1, join, meet)
+    L = osr.FiniteLattice(f"chain{n}", labels, leq, join, meet, 0, n - 1, meet, n - 1)
+    return A, L
+
+
+def test_byte_lanes_refuse_a_structure_above_256_elements(monkeypatch):
+    A = _chain_of(256)[0]
+    assert osr.classify(A, A, range(256)).is_homomorphism  # at the limit
+    lanes = []
+    for module in (osr.core, osr.morphisms, osr.homs):
+        monkeypatch.setattr(module, "lane_table", lanes.append)
+    big, L = _chain_of(257)
+    for check in (
+        lambda: osr.classify(big, big, range(257)),
+        lambda: osr.classify(osr.two(), big, (0, 256)),
+        lambda: osr.homs.is_quantale_hom(L, L, range(257)),
+    ):
+        with pytest.raises(SizeLimit) as exc:
+            check()
+        assert str(exc.value) == (
+            "leaf check: chain257 has 257 elements; byte lanes hold 256"
+        )
+    assert lanes == []
+    for S in (big, L):
+        assert not {"flat", "rows", "lanes"} & set(vars(S))
+
+
 def test_morphism_leaf_failing_classification_raises(monkeypatch):
     real = osr.morphisms.classify
 
@@ -329,10 +391,12 @@ def test_primes_at_the_carrier_cap(capsys):
 
 
 def test_engine_and_oracles_do_not_use_the_leaf_gathers():
-    # classify, is_quantale_hom and join_extension read whole tables through
-    # core.gather and core.image; the engine whose leaves they re-check and
-    # the raw oracles must not, or one fault there could hide in both
+    # classify and is_quantale_hom read whole tables as byte lanes, and
+    # join_extension through core.gather; the engine whose leaves they
+    # re-check and the raw oracles must not, or one fault there could hide
+    # in both
     leaf_names = {"gather", "image", "gathers", "member_gathers", "order_pairs"}
+    leaf_names |= {"lanes", "rows", "lane_table", "translate"}
     for path in (Path(osr.search.__file__), Path(__file__).with_name("oracle.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
