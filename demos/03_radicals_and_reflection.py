@@ -41,8 +41,11 @@ print(b2.name, "reflects onto", refl2.lattice.name,
       "with", refl2.lattice.n, "elements")
 
 # Coherence at finite scale: the radical frame is the ideal frame of the
-# reflection, by the explicit downset isomorphism.
-print(check_coherence(osr.build_zmod(6)))
+# reflection, by the explicit downset isomorphism (the check raises if not).
+z6 = osr.build_zmod(6)
+check_coherence(z6)
+print("radical ideals of", z6.name, "= ideals of its reflection:",
+      len(enumerate_radical_ideals(z6)))
 print("ideals of the reflection match:",
       len(enumerate_ideals(osr.build_from_quantale(refl2.lattice)).ideals)
       == refl2.lattice.n)

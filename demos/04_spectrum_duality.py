@@ -32,8 +32,7 @@ print(spectrum_space(chain3), "sober:", check_sober(spectrum_space(chain3)).sobe
 rad = enumerate_radical_ideals(z6)
 pts = frame_points(rad.lattice)
 print(pts)
-iso = check_spectrum_homeomorphism(z6)
-print("homeomorphic, point bijection:", iso.forward)
+print("homeomorphic, point bijection:", check_spectrum_homeomorphism(z6))
 
 # And the frame of opens of the spectrum is the radical frame again.
 print(opens_frame(spec))
@@ -41,5 +40,4 @@ print(opens_frame(spec))
 # Degenerate semirings have empty spectra; the four characterisations of
 # that collapse are checked to agree.
 for A in (osr.build_zmod(1), osr.build_dual_chain(2), z6):
-    verdict = check_degeneracy_equivalence(A)
-    print(A.name, "degenerate:", verdict.degenerate)
+    print(A.name, "degenerate:", check_degeneracy_equivalence(A))

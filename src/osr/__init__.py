@@ -46,7 +46,7 @@ from .errors import (
     SizeLimit,
     VerificationFailure,
 )
-from .homs import LatticeHom, UniversalityReport, enumerate_quantale_homs
+from .homs import LatticeHom, enumerate_quantale_homs
 from .ideals import (
     Ideal,
     IdealLattice,
@@ -86,7 +86,6 @@ from .radicals import (
 )
 from .spectrum import (
     FiniteTopSpace,
-    SpaceIso,
     check_degeneracy_equivalence,
     check_maximal_implies_prime,
     check_prime_element_correspondence,

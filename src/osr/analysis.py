@@ -10,8 +10,8 @@ variant, each with the failure its build raised, if any.  All of it dies
 with the analysis, so a new analysis of the same semiring verifies
 everything again.  The only things kept per process are the fixed stock of
 target lattices, their semirings and ``two()``, and the report's subset
-samples, none of which depends on any instance.  The constructors live in modules that build on this one, so each
-is imported when first used.
+samples, none of which depends on any instance.  The constructors live
+in modules that build on this one, so each is imported when first used.
 """
 
 from __future__ import annotations
@@ -68,12 +68,15 @@ class Analysis:
             self._closures[mask] = _close(self.owner, mask)
         return self._closures[mask]
 
-    def universality(self, kind: str, target: "FiniteLattice", strict_zero: bool):
+    def universality(
+        self, kind: str, target: "FiniteLattice", strict_zero: bool
+    ) -> int:
         """The universal property of the lattice ``kind`` ("ideals" or
         "radicals") and its universal arrow against ``target``, checked once
-        per ``(kind, target, strict_zero)``; returns a UniversalityReport.
-        Both kinds compare against one list of subadditive morphisms into
-        ``target.semiring``, searched once per ``strict_zero``."""
+        per ``(kind, target, strict_zero)``; returns the size of the verified
+        bijection.  Both kinds compare against one list of subadditive
+        morphisms into ``target.semiring``, searched once per
+        ``strict_zero``."""
         from .homs import check_universal_property
         from .morphisms import enumerate_subadditive
 

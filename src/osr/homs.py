@@ -103,14 +103,6 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeH
     return out
 
 
-class UniversalityReport(NamedTuple):
-    """Both sides of a verified universal-property bijection."""
-
-    target: str
-    morphism_count: int
-    hom_count: int
-
-
 def join_extension(
     L: IdealLattice, target: FiniteLattice, f_values
 ) -> tuple[int, ...]:
@@ -125,8 +117,9 @@ def check_universal_property(
     universal_values: tuple[int, ...],
     target: FiniteLattice,
     morphisms: list[MorphismTable],
-) -> UniversalityReport:
-    """Verify that composition with the universal arrow is a bijection.
+) -> int:
+    """Verify that composition with the universal arrow is a bijection, and
+    return its size.
 
     ``L`` is the lattice of ideals constructed over its owner A (the ideal
     quantale or the radical frame) and ``universal_values`` the universal
@@ -177,8 +170,4 @@ def check_universal_property(
             f"{A.name}: {len(homs)} homomorphisms vs {len(morphisms)} subadditive "
             f"morphisms into {target.name}"
         )
-    return UniversalityReport(
-        target=target.name,
-        morphism_count=len(morphisms),
-        hom_count=len(homs),
-    )
+    return len(homs)

@@ -31,29 +31,30 @@ from .core import (
 )
 from .errors import (
     InternalMismatch,
+    LabelError,
     NotIntegral,
     NotSubadditive,
     OwnerMismatch,
 )
-from .homs import (
-    LatticeHom,
-    UniversalityReport,
-    is_quantale_hom,
-    join_extension,
-)
+from .homs import LatticeHom, is_quantale_hom, join_extension
 from .morphisms import MorphismTable, classify, compose
 
 Members = Union[int, Iterable[int]]
 
 
-def as_mask(members: Members) -> int:
+def as_mask(A: FiniteOrderedSemiring, members: Members) -> int:
+    """The bitmask of a subset of A's carrier, given as a bitmask or as
+    elements; a member outside the carrier raises LabelError."""
     if isinstance(members, int):
-        return members
-    if hasattr(members, "_fields"):  # a record is not a set of elements
+        mask = members
+    elif hasattr(members, "_fields"):  # a record is not a set of elements
         raise TypeError(f"{type(members).__name__} is not a set of elements")
-    mask = 0
-    for x in members:
-        mask |= 1 << x
+    else:
+        mask = 0
+        for x in members:
+            mask |= 1 << x if x >= 0 else -1  # a negative element: no subset
+    if mask < 0 or mask >> A.n:
+        raise LabelError(f"members outside the {A.n} elements of {A.name}")
     return mask
 
 
@@ -81,7 +82,7 @@ class Ideal(NamedTuple):
 def is_ideal(A: FiniteOrderedSemiring, members: Members) -> bool:
     """True iff the subset is downward closed, contains zero, is closed
     under addition, and absorbs multiplication."""
-    mask = as_mask(members)
+    mask = as_mask(A, members)
     if not mask >> A.zero & 1:
         return False
     members = list(bits(mask))
@@ -133,13 +134,13 @@ def _close(A: FiniteOrderedSemiring, mask: int) -> int:
 def generated_ideal(A: Source, members: Members) -> Ideal:
     """The least ideal of A containing the given subset."""
     an = analysis(A)
-    return Ideal(an.owner, an.close(as_mask(members)))
+    return Ideal(an.owner, an.close(as_mask(an.owner, members)))
 
 
 def product_set(A: FiniteOrderedSemiring, members: Members) -> frozenset[int]:
     """Every product ``s*y`` with ``s`` in the subset and ``y`` in A: the
     entries of the rows ``s`` of the multiplication table."""
-    return frozenset().union(*(A.mul[s] for s in bits(as_mask(members))))
+    return frozenset().union(*(A.mul[s] for s in bits(as_mask(A, members))))
 
 
 def generated_ideal_by_sums(A: FiniteOrderedSemiring, members: Members) -> int:
@@ -180,6 +181,8 @@ def principal_ideal(A: Source, x: int) -> Ideal:
     """
     an = analysis(A)
     A, close = an.owner, an.close
+    if not 0 <= x < A.n:
+        raise LabelError(f"{x} is not an element of {A.name}")
     mask = A.multiples[x]
     closed = close(close(0) | 1 << x)
     if mask != closed:
@@ -230,7 +233,7 @@ def check_product_of_generators(A: Source, S: Members, T: Members) -> bool:
     """
     an = analysis(A)
     A, close = an.owner, an.close
-    s_mask, t_mask = as_mask(S), as_mask(T)
+    s_mask, t_mask = as_mask(A, S), as_mask(A, T)
     cs, ct = close(s_mask), close(t_mask)
     lhs = _kept(an, ("product", cs, ct), lambda: close(_products(A, cs, ct)))
     return lhs == close(_products(A, s_mask, t_mask))
@@ -373,7 +376,8 @@ def extend_to_quantale_hom(
     join of the images of its members; this is the unique quantale
     homomorphism whose composite with the principal-ideal map recovers
     ``f``.  Preservation of joins, unit, and products and the triangle
-    identity are all verified exhaustively.
+    identity are all verified exhaustively; the triangle reads every
+    principal ideal through one analysis of the source.
     """
     if not f.is_subadditive_morphism:
         raise NotSubadditive(
@@ -385,7 +389,8 @@ def extend_to_quantale_hom(
         raise OwnerMismatch(
             f"morphism target {f.target.name} is not the semiring induced by {Q.name}"
         )
-    A = f.source
+    an = analysis(f.source)
+    A = an.owner
     values = join_extension(iq, Q, f.values)
     if not is_quantale_hom(iq.lattice, Q, values):
         raise InternalMismatch(
@@ -393,7 +398,7 @@ def extend_to_quantale_hom(
             f"not a quantale homomorphism"
         )
     for x in range(A.n):
-        if values[iq.index_of(principal_ideal(A, x).mask)] != f.values[x]:
+        if values[iq.index_of(principal_ideal(an, x).mask)] != f.values[x]:
             raise InternalMismatch(
                 f"triangle fails at {A.labels[x]}: extension of the morphism does "
                 f"not recover it on the principal ideal"
@@ -403,10 +408,10 @@ def extend_to_quantale_hom(
 
 def check_quantale_universality(
     A: Source, Q: FiniteLattice, strict_zero: bool = False
-) -> UniversalityReport:
+) -> int:
     """Verify that composition with the principal-ideal map is a bijection
     from quantale homomorphisms out of the ideal quantale onto subadditive
-    morphisms out of A."""
+    morphisms out of A, and return its size."""
     if not Q.is_integral_quantale:
         raise NotIntegral(f"{Q.name} is not an integral quantale")
     return analysis(A).universality("ideals", Q, strict_zero)

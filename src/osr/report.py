@@ -139,15 +139,11 @@ def frame_targets() -> tuple[FiniteLattice, ...]:
     return small_distributive_lattices()[1:4]
 
 
-def _subset_samples(A: FiniteOrderedSemiring, count: int, how_many_sets: int):
-    """Deterministic subset tuples: exhaustive at small sizes, sampled above."""
-    return _samples(A.n, count, how_many_sets)
-
-
 @cache
 def _samples(n: int, count: int, how_many_sets: int) -> tuple[tuple[int, ...], ...]:
-    """The subset tuples of ``_subset_samples`` for an ``n``-element carrier,
-    drawn once per process: they depend on no instance."""
+    """Deterministic subset tuples of an ``n``-element carrier: exhaustive at
+    small sizes, sampled above.  Drawn once per process: they depend on no
+    instance."""
     space = 1 << n
     if space**how_many_sets <= EXHAUSTIVE_SUBSET_SPACE:
         if how_many_sets == 1:
@@ -212,7 +208,7 @@ def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
         # the sum formula reads a subset only through its product set, so
         # it runs once per distinct product set; every mask is still closed
         by_products: dict = {}
-        for (mask,) in _subset_samples(A, SAMPLES, 1):
+        for (mask,) in _samples(A.n, SAMPLES, 1):
             products = product_set(A, mask)
             if products not in by_products:
                 by_products[products] = generated_ideal_by_sums(A, mask)
@@ -223,7 +219,7 @@ def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
                 )
 
     def product_of_generators() -> None:
-        for s, t in _subset_samples(A, SAMPLES, 2):
+        for s, t in _samples(A.n, SAMPLES, 2):
             if not check_product_of_generators(an, s, t):
                 raise InternalMismatch(
                     f"{A.name}: <S><T> != <ST> at S={A.set_label(s)}, "

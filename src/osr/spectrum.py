@@ -128,13 +128,7 @@ def enumerate_maximal(A: Source) -> list[Ideal]:
     return [iq.ideals[i] for i, j in iq.lattice.covers if j == top]
 
 
-class MaximalPrimeReport(NamedTuple):
-    maximal_count: int
-    prime_count: int
-    has_prime_non_maximal: bool
-
-
-def check_maximal_implies_prime(A: Source) -> MaximalPrimeReport:
+def check_maximal_implies_prime(A: Source) -> None:
     """Every maximal ideal must be prime; the witness on failure is the
     product pair that escapes the ideal.  The maximal ideals are first
     checked against the definition: the proper ideals that any one element
@@ -168,38 +162,16 @@ def check_maximal_implies_prime(A: Source) -> MaximalPrimeReport:
             f"{A.name}: maximal ideal {I.label} is prime but missing from the "
             f"prime ideals"
         )
-    return MaximalPrimeReport(
-        maximal_count=len(maximal),
-        prime_count=len(primes),
-        has_prime_non_maximal=bool(primes - {I.mask for I in maximal}),
-    )
 
 
-class DegeneracyReport(NamedTuple):
-    """The four equivalent ways for a spectrum to be empty."""
-
-    all_below_zero: bool
-    one_below_zero: bool
-    no_primes: bool
-    no_maximal: bool
-
-    @property
-    def degenerate(self) -> bool:
-        return self.all_below_zero
-
-
-def check_degeneracy_equivalence(A: Source) -> DegeneracyReport:
-    """The four degeneracy conditions must agree, and the first is the same
-    as the zero ideal swallowing the carrier."""
+def check_degeneracy_equivalence(A: Source) -> bool:
+    """Is the spectrum empty?  The four ways to say so must agree --
+    everything below zero, one below zero, no primes, no maximal ideals --
+    and the first is the same as the zero ideal swallowing the carrier."""
     an = analysis(A)
     A = an.owner
-    conds = DegeneracyReport(
-        all_below_zero=all(A.le(x, A.zero) for x in range(A.n)),
-        one_below_zero=A.le(A.one, A.zero),
-        no_primes=not an.primes,
-        no_maximal=not an.maximal,
-    )
-    flags = (conds.all_below_zero, conds.one_below_zero, conds.no_primes, conds.no_maximal)
+    degenerate = all(A.le(x, A.zero) for x in range(A.n))
+    flags = (degenerate, A.le(A.one, A.zero), not an.primes, not an.maximal)
     if len(set(flags)) != 1:
         raise InternalMismatch(
             f"{A.name}: degeneracy conditions disagree: everything-below-zero="
@@ -207,11 +179,11 @@ def check_degeneracy_equivalence(A: Source) -> DegeneracyReport:
             f"no-maximal={flags[3]}"
         )
     zero_ideal_is_all = principal_ideal(an, A.zero).mask == A.full_mask
-    if zero_ideal_is_all != conds.all_below_zero:
+    if zero_ideal_is_all != degenerate:
         raise InternalMismatch(
             f"{A.name}: zero ideal covers the carrier iff everything is below zero"
         )
-    return conds
+    return degenerate
 
 
 def spectrum_space(A: Source) -> FiniteTopSpace:
@@ -279,16 +251,10 @@ def opens_frame(X: FiniteTopSpace) -> FiniteLattice:
     return lattice
 
 
-class SpaceIso(NamedTuple):
-    """A verified homeomorphism between two finite spaces."""
-
-    forward: tuple[int, ...]
-    backward: tuple[int, ...]
-
-
-def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
+def check_spectrum_homeomorphism(A: Source) -> tuple[int, ...]:
     """The canonical bijection between frame points of the radical frame
-    and prime ideals, verified to be a homeomorphism.
+    and prime ideals, verified to be a homeomorphism: entry ``i`` is the
+    spectrum point of the ``i``-th frame point.
 
     A meet-prime radical ideal is literally a prime ideal (and conversely),
     so the point bijection matches up underlying member sets; the opens
@@ -323,15 +289,10 @@ def check_spectrum_homeomorphism(A: Source) -> SpaceIso:
                 f"{A.name}: D({A.labels[x]}) does not match the open of the "
                 f"radical principal ideal"
             )
-    return SpaceIso(forward=forward, backward=backward)
+    return forward
 
 
-class RadicalOpensReport(NamedTuple):
-    radical_count: int
-    open_count: int
-
-
-def check_radical_opens_iso(A: Source) -> RadicalOpensReport:
+def check_radical_opens_iso(A: Source) -> None:
     """The radical frame is the frame of opens of the spectrum: the map
     sending a radical ideal to the primes not containing it is a frame
     isomorphism carrying radical principal ideals to the basic opens."""
@@ -354,21 +315,15 @@ def check_radical_opens_iso(A: Source) -> RadicalOpensReport:
             raise IsoFailure(
                 f"{A.name}: radical of <{A.labels[x]}> does not map to D({A.labels[x]})"
             )
-    return RadicalOpensReport(radical_count=len(rad.ideals), open_count=O.n)
 
 
-class PrimeElementReport(NamedTuple):
-    prime_count: int
-
-
-def check_prime_element_correspondence(A: Source) -> PrimeElementReport:
+def check_prime_element_correspondence(A: Source) -> None:
     """An ideal is prime exactly when it is a prime element of the ideal
     quantale: proper, and dividing a product only by dividing a factor."""
     an = analysis(A)
     A, iq = an.owner, an.ideals
     L = iq.lattice
     assert L.mul is not None
-    count = 0
     for i, I in enumerate(iq.ideals):
         as_ideal = _is_prime_mask(A, I.mask)
         as_element = i != L.unit and all(
@@ -382,8 +337,6 @@ def check_prime_element_correspondence(A: Source) -> PrimeElementReport:
                 f"{A.name}: {I.label} is prime as an ideal but not as a quantale "
                 f"element (or conversely)"
             )
-        count += as_ideal
-    return PrimeElementReport(prime_count=count)
 
 
 class SoberReport(NamedTuple):

@@ -33,7 +33,7 @@ from osr.report import (
     CHECK_NAMES,
     SAMPLES,
     Verdict,
-    _subset_samples,
+    _samples,
     frame_targets,
     quantale_targets,
     run_checks,
@@ -318,7 +318,7 @@ def test_product_memo_does_not_hide_a_fault(monkeypatch):
         lhs = drop_one_bit(A, _close(A, s), _close(A, t))
         return _close(A, lhs) != _close(A, drop_one_bit(A, s, t))
 
-    s, t = next(p for p in _subset_samples(A, SAMPLES, 2) if fails(*p))
+    s, t = next(p for p in _samples(A.n, SAMPLES, 2) if fails(*p))
     failed = {v.check: v.witness for v in run_checks(A).verdicts if not v.passed}
     assert failed == {
         "product-of-generators": f"{A.name}: <S><T> != <ST> at "
@@ -362,10 +362,10 @@ def test_sampled_verdicts_close_each_mask_once(monkeypatch):
     closed = Counter(args[0] for name, args in window if name == "_close")
     # n = 8: the oracle's singles are the whole power set; those that the
     # ideal quantale or the radical frame closed are read from the analysis
-    assert set(closed) | built >= {m for (m,) in _subset_samples(A, SAMPLES, 1)}
+    assert set(closed) | built >= {m for (m,) in _samples(A.n, SAMPLES, 1)}
     assert set(closed).isdisjoint(built)
     assert set(closed.values()) == {1}
-    pairs = _subset_samples(A, SAMPLES, 2)
+    pairs = _samples(A.n, SAMPLES, 2)
     ideal_pairs = {(_close(A, s), _close(A, t)) for s, t in pairs}
     products = [args for name, args in window if name == "_products"]
     # <ST> once per sampled pair, <S>.<T> once per distinct pair of ideals

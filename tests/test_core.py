@@ -340,6 +340,7 @@ def test_records_are_equal_and_hash_alike_by_value():
 
 def test_a_record_is_not_a_set_of_elements():
     # a NamedTuple is iterable, but its fields are not element indices
-    I = osr.principal_ideal(osr.build_zmod(4), 2)
+    z4 = osr.build_zmod(4)
+    I = osr.principal_ideal(z4, 2)
     with pytest.raises(TypeError):
-        osr.ideals.as_mask(I)
+        osr.ideals.as_mask(z4, I)

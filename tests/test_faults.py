@@ -6,10 +6,12 @@ report or as a report that passes."""
 import pytest
 
 import osr
+import osr.homs
 import osr.spectrum
 from osr.report import run_checks
 
 # the real functions, taken before any row replaces them
+enumerate_quantale_homs = osr.homs.enumerate_quantale_homs
 enumerate_primes = osr.spectrum.enumerate_primes
 enumerate_maximal = osr.spectrum.enumerate_maximal
 MAXIMAL = {"maximal-implies-prime"}
@@ -57,3 +59,18 @@ def test_fault_fails_its_verdicts_without_aborting(
     report = run_checks(A)  # an exception here is an aborted report
     failed = {v.check for v in report.verdicts if not v.passed}
     assert must_fail <= failed, failed
+
+
+@pytest.mark.parametrize("spec", ["zmod:6", "chain:9", "bool:3"])
+def test_every_reflection_target_is_checked(monkeypatch, spec):
+    # grid2x3 is the last of the five targets, and only the reflection's
+    # universality checks use it: losing a hom into it fails just the two
+    # verdicts that build the reflection
+    def drop_a_grid_hom(L, Q):
+        homs = enumerate_quantale_homs(L, Q)
+        return homs[:-1] if Q.name == "grid2x3" else homs
+
+    A = osr.from_builder_spec(spec)
+    monkeypatch.setattr(osr.homs, "enumerate_quantale_homs", drop_a_grid_hom)
+    failed = {v.check for v in run_checks(A).verdicts if not v.passed}
+    assert failed == {"coherence-iso", "dlat-presentation"}

@@ -12,7 +12,7 @@ from osr.analysis import Analysis
 from osr.builders import from_builder_spec
 from osr.core import bits
 from osr.ideals import _close
-from osr.report import CHECK_NAMES, SAMPLES, Verdict, _subset_samples, run_checks
+from osr.report import CHECK_NAMES, SAMPLES, Verdict, _samples, run_checks
 
 # sha256 of json.dumps of the sample lists, as lists, recorded before they
 # were cached: caching must not change a single sample
@@ -37,18 +37,18 @@ def products_of(A, mask):
 
 def test_sample_lists_are_the_recorded_ones():
     for (n, k), digest in SAMPLE_DIGESTS.items():
-        samples = _subset_samples(from_builder_spec(f"chain:{n}"), SAMPLES, k)
+        samples = _samples(n, SAMPLES, k)
         encoded = json.dumps([list(t) for t in samples]).encode()
         assert hashlib.sha256(encoded).hexdigest() == digest
 
 
 def test_sample_lists_are_drawn_once_per_carrier_size():
     for n, k in SAMPLE_DIGESTS:
-        samples = _subset_samples(from_builder_spec(f"chain:{n}"), SAMPLES, k)
+        samples = _samples(n, SAMPLES, k)
         assert type(samples) is tuple
         assert all(type(t) is tuple and len(t) == k for t in samples)
         # the lists depend on the carrier size only, not on the instance
-        assert _subset_samples(from_builder_spec(f"zmod:{n}"), SAMPLES, k) is samples
+        assert _samples(n, SAMPLES, k) is samples
 
 
 def oracle_calls(monkeypatch, A):
@@ -82,7 +82,7 @@ def oracle_calls(monkeypatch, A):
 @pytest.mark.parametrize("spec", ORACLE_INSTANCES)
 def test_sum_oracle_runs_once_per_product_set(monkeypatch, spec):
     A = from_builder_spec(spec)
-    masks = [m for (m,) in _subset_samples(A, SAMPLES, 1)]
+    masks = [m for (m,) in _samples(A.n, SAMPLES, 1)]
     first = {}
     for mask in masks:
         first.setdefault(products_of(A, mask), mask)
@@ -100,7 +100,7 @@ def test_a_bad_closure_on_a_repeated_product_set_fails_the_oracle(
     monkeypatch, spec
 ):
     A = from_builder_spec(spec)
-    masks = [m for (m,) in _subset_samples(A, SAMPLES, 1)]
+    masks = [m for (m,) in _samples(A.n, SAMPLES, 1)]
     # the last sampled mask whose product set an earlier, different mask had
     bad = next(
         m
