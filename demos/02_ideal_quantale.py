@@ -47,4 +47,4 @@ iq4 = enumerate_ideals(z4)
 f = classify(z4, osr.build_from_quantale(osr.chain_frame(2)), (0, 1, 0, 1))
 g = extend_to_quantale_hom(f, osr.chain_frame(2), iq4)
 for i, I in enumerate(iq4.ideals):
-    print(f"  {I.label} |-> {g.values[i]}")
+    print(f"  {I.label} |-> {g[i]}")

@@ -15,9 +15,8 @@ from osr.report import run_checks
 # Serialize a builtin, read it back, and validate the description.
 text = render(osr.build_zmod(4).describe())
 print(text)
-doc = parse(text)
-A = osr.validate(doc.description)
-print("parsed + validated:", A, "sections at lines:", doc.spans)
+A = osr.validate(parse(text))
+print("parsed + validated:", A)
 
 # The report runs all fourteen theorem checks and is byte-stable in its
 # machine form (timings live only in the human rendering).

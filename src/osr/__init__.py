@@ -46,7 +46,7 @@ from .errors import (
     SizeLimit,
     VerificationFailure,
 )
-from .homs import LatticeHom, enumerate_quantale_homs
+from .homs import enumerate_quantale_homs
 from .ideals import (
     Ideal,
     IdealLattice,

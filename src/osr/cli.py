@@ -42,7 +42,7 @@ def _load(args) -> FiniteOrderedSemiring:
         raise OsrError("provide exactly one of: an .osr file path, or --builder")
     if args.builder is not None:
         return from_builder_spec(args.builder)
-    return validate(parse_file(args.source).description)
+    return validate(parse_file(args.source))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -50,10 +50,6 @@ def _emit(args, payload: dict, human: str) -> None:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(human)
-
-
-def _member_labels(A: FiniteOrderedSemiring, ideals) -> list[list[str]]:
-    return [[A.labels[x] for x in I.members] for I in ideals]
 
 
 def _cmd_validate(args) -> int:
@@ -94,7 +90,7 @@ def _ideal_listing(args, kind: str) -> int:
         payload = {
             "name": A.name,
             "count": len(chosen),
-            kind: _member_labels(A, chosen),
+            kind: [[A.labels[x] for x in I.members] for I in chosen],
             "tags": [tags(I) for I in chosen],
         }
         _emit(args, payload, "")

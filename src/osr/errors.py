@@ -25,13 +25,11 @@ class AxiomViolation(OsrError):
     """One or more ordered-semiring axioms failed on the given tables.
 
     ``violations`` lists every failed law as ``(axiom_name, witness)`` with
-    one witness (a tuple of element labels) per law.  ``axiom`` / ``witness``
-    expose the first entry.
+    one witness (a tuple of element labels) per law.
     """
 
     def __init__(self, violations):
         self.violations = tuple(violations)
-        self.axiom, self.witness = self.violations[0]
         lines = ", ".join(f"{a} at {w}" for a, w in self.violations)
         super().__init__(f"axioms failed: {lines}")
 

@@ -19,7 +19,7 @@ compares the two sides of each law as byte strings of whole tables, as
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .core import FiniteLattice, gather, lane_table
 from .errors import (
@@ -33,17 +33,6 @@ from .search import forward_search
 
 if TYPE_CHECKING:
     from .ideals import IdealLattice
-
-
-class LatticeHom(NamedTuple):
-    """A table of target indices, one per source-lattice element."""
-
-    source: FiniteLattice
-    target: FiniteLattice
-    values: tuple[int, ...]
-
-    def __repr__(self) -> str:
-        return f"LatticeHom({self.source.name} -> {self.target.name}, {list(self.values)})"
 
 
 def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, values) -> bool:
@@ -72,8 +61,9 @@ def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, values) -> bool:
     return join.translate(lane) == joins and mul.translate(lane) == prods
 
 
-def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeHom]:
-    """All quantale homomorphisms L -> Q, sorted by value table.
+def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[tuple[int, ...]]:
+    """All quantale homomorphisms L -> Q, each a tuple of Q's indices, one
+    per element of L, sorted.
 
     Runs the forward-checking engine into ``Q.semiring`` over L, with
     bottom and unit pinned, monotonicity, and preservation of binary joins
@@ -82,7 +72,7 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeH
     """
     if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
         raise NotAQuantale("both lattices must carry a multiplication")
-    out: list[LatticeHom] = []
+    out: list[tuple[int, ...]] = []
 
     def leaf(values) -> None:
         if not is_quantale_hom(L, Q, values):
@@ -90,7 +80,7 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[LatticeH
                 f"map {list(values)} from {L.name} to {Q.name} passed forward "
                 f"checking but is not a quantale homomorphism"
             )
-        out.append(LatticeHom(L, Q, values))
+        out.append(values)
 
     forward_search(
         L.search_source,
@@ -137,10 +127,10 @@ def check_universal_property(
 
     seen = set()
     for g in homs:
-        f_vals = along_universal(g.values)
+        f_vals = along_universal(g)
         if f_vals not in morphism_values:
             raise UniversalityFailure(
-                f"{A.name}: composite of hom {list(g.values)} with the universal "
+                f"{A.name}: composite of hom {list(g)} with the universal "
                 f"arrow is not a subadditive morphism into {target.name}"
             )
         if f_vals in seen:
@@ -150,7 +140,7 @@ def check_universal_property(
             )
         seen.add(f_vals)
 
-    hom_values = {g.values for g in homs}
+    hom_values = set(homs)
     for f in morphisms:
         ext = join_extension(L, target, f.values)
         if ext not in hom_values:

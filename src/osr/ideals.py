@@ -36,7 +36,7 @@ from .errors import (
     NotSubadditive,
     OwnerMismatch,
 )
-from .homs import LatticeHom, is_quantale_hom, join_extension
+from .homs import is_quantale_hom, join_extension
 from .morphisms import MorphismTable, classify, compose
 
 Members = Union[int, Iterable[int]]
@@ -369,15 +369,17 @@ def canonical_embedding(A: Source) -> MorphismTable:
 
 def extend_to_quantale_hom(
     f: MorphismTable, Q: FiniteLattice, iq: IdealLattice
-) -> LatticeHom:
-    """The join extension of a subadditive morphism into an integral quantale.
+) -> tuple[int, ...]:
+    """The join extension of a subadditive morphism into an integral quantale,
+    as Q's index of the image of each ideal of ``iq``.
 
-    Maps each ideal of ``iq``, the ideal quantale of ``f``'s source, to the
-    join of the images of its members; this is the unique quantale
-    homomorphism whose composite with the principal-ideal map recovers
-    ``f``.  Preservation of joins, unit, and products and the triangle
-    identity are all verified exhaustively; the triangle reads every
-    principal ideal through one analysis of the source.
+    Maps each ideal of ``iq``, the ideal quantale of ``f``'s source (of
+    another semiring: OwnerMismatch), to the join of the images of its
+    members; this is the unique quantale homomorphism whose composite with
+    the principal-ideal map recovers ``f``.  Preservation of joins, unit,
+    and products and the triangle identity are all verified exhaustively;
+    the triangle reads every principal ideal through one analysis of the
+    source.
     """
     if not f.is_subadditive_morphism:
         raise NotSubadditive(
@@ -388,6 +390,10 @@ def extend_to_quantale_hom(
     if f.target._replace(name=Q.semiring.name) != Q.semiring:
         raise OwnerMismatch(
             f"morphism target {f.target.name} is not the semiring induced by {Q.name}"
+        )
+    if iq.owner != f.source:
+        raise OwnerMismatch(
+            f"ideals of {iq.owner.name} given for a morphism out of {f.source.name}"
         )
     an = analysis(f.source)
     A = an.owner
@@ -403,7 +409,7 @@ def extend_to_quantale_hom(
                 f"triangle fails at {A.labels[x]}: extension of the morphism does "
                 f"not recover it on the principal ideal"
             )
-    return LatticeHom(source=iq.lattice, target=Q, values=values)
+    return values
 
 
 def check_quantale_universality(
@@ -417,8 +423,9 @@ def check_quantale_universality(
     return analysis(A).universality("ideals", Q, strict_zero)
 
 
-def induced_quantale_hom(f: MorphismTable) -> LatticeHom:
-    """The action of a subadditive morphism on ideal quantales.
+def induced_quantale_hom(f: MorphismTable) -> tuple[int, ...]:
+    """The action of a subadditive morphism on ideal quantales, as the index
+    among the target's ideals of the image of each source ideal.
 
     Sends each ideal to the ideal generated by its image.  Computed as the
     join extension of the composite with the target's principal-ideal map,
@@ -436,7 +443,7 @@ def induced_quantale_hom(f: MorphismTable) -> LatticeHom:
     )
     for i, I in enumerate(source_iq.ideals):
         image = generated_ideal(target, {f.values[x] for x in I.members})
-        if target_iq.index_of(image.mask) != hom.values[i]:
+        if target_iq.index_of(image.mask) != hom[i]:
             raise InternalMismatch(
                 f"image of {I.label} under {A.name} -> {B.name} disagrees with "
                 f"the join extension"

@@ -30,20 +30,8 @@ description.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .core import RawSemiringDescription
 from .errors import DuplicateLabel, MissingSection, ParseError
-
-SECTIONS = ("name", "elements", "le", "zero", "one", "add", "mul")
-
-
-class OsrDocument(NamedTuple):
-    """A parsed description plus the source line span of every section."""
-
-    description: RawSemiringDescription
-    spans: dict  # section name -> (first_line, last_line), 1-based
-
 
 def _tokens(text: str) -> list[tuple[int, str]]:
     """(column, token) pairs for one comment-stripped line, 1-based columns."""
@@ -59,8 +47,9 @@ def _tokens(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse(text: str) -> OsrDocument:
-    """Parse an ``.osr`` document; errors carry line and column."""
+def parse(text: str) -> RawSemiringDescription:
+    """Parse an ``.osr`` document into the description it spells out;
+    errors carry line and column."""
     lines = text.splitlines()
     # significant lines: (line_no, column-token list)
     rows = []
@@ -68,15 +57,12 @@ def parse(text: str) -> OsrDocument:
         toks = _tokens(raw)
         if toks:
             rows.append((ln, toks))
-    pos = 0
-
-    def eof_line() -> int:
-        return len(lines) + 1
+    pos, eof = 0, len(lines) + 1
 
     def expect_header(section: str) -> tuple[int, list[tuple[int, str]]]:
         nonlocal pos
         if pos >= len(rows):
-            raise MissingSection(eof_line(), 1, f"missing section {section!r}")
+            raise MissingSection(eof, 1, f"missing section {section!r}")
         ln, toks = rows[pos]
         col, head = toks[0]
         if head != f"{section}:":
@@ -90,7 +76,6 @@ def parse(text: str) -> OsrDocument:
     if not rest:
         raise ParseError(ln, 1, "empty name")
     name = " ".join(t for _, t in rest)
-    spans = {"name": (ln, ln)}
 
     ln, rest = expect_header("elements")
     if not rest:
@@ -100,7 +85,6 @@ def parse(text: str) -> OsrDocument:
         if tok in elements:
             raise DuplicateLabel(ln, col, f"duplicate element label {tok!r}")
         elements.append(tok)
-    spans["elements"] = (ln, ln)
     known = set(elements)
 
     def check_label(ln: int, col: int, tok: str) -> str:
@@ -109,7 +93,6 @@ def parse(text: str) -> OsrDocument:
         return tok
 
     ln, rest = expect_header("le")
-    le_start = ln
     le: object
     if rest:
         col, kw = rest[0]
@@ -118,10 +101,8 @@ def parse(text: str) -> OsrDocument:
         if kw not in ("discrete", "chain"):
             raise ParseError(ln, col, f"order keyword must be discrete or chain, not {kw!r}")
         le = kw
-        spans["le"] = (ln, ln)
     else:
         pairs = []
-        last = ln
         while pos < len(rows) and rows[pos][1][0][1] != "zero:":
             pln, toks = rows[pos]
             if len(toks) != 3 or toks[1][1] != "<=":
@@ -129,22 +110,16 @@ def parse(text: str) -> OsrDocument:
             a = check_label(pln, toks[0][0], toks[0][1])
             b = check_label(pln, toks[2][0], toks[2][1])
             pairs.append((a, b))
-            last = pln
             pos += 1
         le = tuple(pairs)
-        spans["le"] = (le_start, last)
 
-    ln, rest = expect_header("zero")
-    if len(rest) != 1:
-        raise ParseError(ln, 1, "zero section needs exactly one label")
-    zero = check_label(ln, rest[0][0], rest[0][1])
-    spans["zero"] = (ln, ln)
+    def read_label(section: str) -> str:
+        ln, rest = expect_header(section)
+        if len(rest) != 1:
+            raise ParseError(ln, 1, f"{section} section needs exactly one label")
+        return check_label(ln, *rest[0])
 
-    ln, rest = expect_header("one")
-    if len(rest) != 1:
-        raise ParseError(ln, 1, "one section needs exactly one label")
-    one = check_label(ln, rest[0][0], rest[0][1])
-    spans["one"] = (ln, ln)
+    zero, one = read_label("zero"), read_label("one")
 
     n = len(elements)
 
@@ -154,11 +129,10 @@ def parse(text: str) -> OsrDocument:
         if rest:
             raise ParseError(ln, rest[0][0], f"{section} table starts on the next line")
         table = []
-        last = ln
         for _ in range(n):
             if pos >= len(rows):
                 raise ParseError(
-                    eof_line(), 1, f"{section} table needs {n} rows, found {len(table)}"
+                    eof, 1, f"{section} table needs {n} rows, found {len(table)}"
                 )
             rln, toks = rows[pos]
             if len(toks) != n:
@@ -168,9 +142,7 @@ def parse(text: str) -> OsrDocument:
                     f"{section} table row must have {n} entries, found {len(toks)}",
                 )
             table.append(tuple(check_label(rln, c, t) for c, t in toks))
-            last = rln
             pos += 1
-        spans[section] = (ln, last)
         return tuple(table)
 
     add_table = read_table("add")
@@ -180,17 +152,14 @@ def parse(text: str) -> OsrDocument:
         ln, toks = rows[pos]
         raise ParseError(ln, toks[0][0], f"unexpected content {toks[0][1]!r} after mul table")
 
-    return OsrDocument(
-        description=RawSemiringDescription(
-            name=name,
-            elements=tuple(elements),
-            le=le,
-            zero=zero,
-            one=one,
-            add_table=add_table,
-            mul_table=mul_table,
-        ),
-        spans=spans,
+    return RawSemiringDescription(
+        name=name,
+        elements=tuple(elements),
+        le=le,
+        zero=zero,
+        one=one,
+        add_table=add_table,
+        mul_table=mul_table,
     )
 
 
@@ -211,6 +180,7 @@ def render(desc: RawSemiringDescription) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_file(path: str) -> OsrDocument:
+def parse_file(path: str) -> RawSemiringDescription:
+    """Parse the ``.osr`` document stored at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())

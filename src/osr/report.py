@@ -55,24 +55,6 @@ SAMPLE_SEED = 0x05EED  # sampled checks must be reproducible run to run
 SAMPLES = 200
 EXHAUSTIVE_SUBSET_SPACE = 1 << 8  # full sweep while the subset tuples fit
 
-CHECK_NAMES = (
-    "idl-quantale-axioms",
-    "idl-universality",
-    "generated-ideal-oracle",
-    "product-of-generators",
-    "radical-semiprime",
-    "rad-universality",
-    "coherence-iso",
-    "dlat-presentation",
-    "maximal-implies-prime",
-    "degeneracy-equivalence",
-    "prime-element-correspondence",
-    "pt-rad-homeo",
-    "rad-opens-iso",
-    "sobriety",
-)
-
-
 class Verdict(NamedTuple):
     check: str
     passed: bool
@@ -81,12 +63,11 @@ class Verdict(NamedTuple):
 
 class CheckReport:
     """One instance's counts, per-theorem verdicts, and timings: one per
-    structure phase, then one per verdict in ``CHECK_NAMES`` order."""
+    structure phase, then one per verdict in ``VERDICTS`` order."""
 
-    def __init__(self, name: str, counts: dict, verdicts=None, timings=None):
-        self.name, self.counts = name, counts
-        self.verdicts: list[Verdict] = [] if verdicts is None else verdicts
-        self.timings: dict = {} if timings is None else timings
+    def __init__(self, name: str, counts: dict, timings: dict):
+        self.name, self.counts, self.timings = name, counts, timings
+        self.verdicts: list[Verdict] = []
 
     @property
     def all_passed(self) -> bool:
@@ -164,6 +145,67 @@ def _size(an: Analysis, structure: str) -> Optional[int]:
         return None
 
 
+def _oracle_equivalence(an: Analysis) -> None:
+    """The closure and the bounded-sum formula agree on the sampled subsets,
+    the formula evaluated once per distinct product set."""
+    A = an.owner
+    by_products: dict = {}
+    for (mask,) in _samples(A.n, SAMPLES, 1):
+        products = product_set(A, mask)
+        if products not in by_products:
+            by_products[products] = generated_ideal_by_sums(A, mask)
+        if an.close(mask) != by_products[products]:
+            raise InternalMismatch(
+                f"{A.name}: closure and sum formula disagree on "
+                f"{A.set_label(mask)}"
+            )
+
+
+def _product_of_generators(an: Analysis) -> None:
+    A = an.owner
+    for s, t in _samples(A.n, SAMPLES, 2):
+        if not check_product_of_generators(an, s, t):
+            raise InternalMismatch(
+                f"{A.name}: <S><T> != <ST> at S={A.set_label(s)}, "
+                f"T={A.set_label(t)}"
+            )
+
+
+def _sobriety(an: Analysis) -> None:
+    result = check_sober(an.spectrum)
+    if not result.sober:
+        raise InternalMismatch(f"{an.owner.name}: {result.witness}")
+
+
+# (name, body) of each verdict, in report order.  Every body reads its check
+# from this module's namespace when it runs, so a rebound name is the one
+# called.  The ideal-quantale laws are verified inside enumerate_ideals, so
+# that verdict is whether the ideal quantale was built.
+VERDICTS = (
+    ("idl-quantale-axioms", lambda an: an.ideals),
+    (
+        "idl-universality",
+        lambda an: [check_quantale_universality(an, Q) for Q in quantale_targets()],
+    ),
+    ("generated-ideal-oracle", _oracle_equivalence),
+    ("product-of-generators", _product_of_generators),
+    ("radical-semiprime", lambda an: check_radical_equals_semiprime(an)),
+    (
+        "rad-universality",
+        lambda an: [check_frame_universality(an, F) for F in frame_targets()],
+    ),
+    ("coherence-iso", lambda an: check_coherence(an)),
+    ("dlat-presentation", lambda an: an.reflection),
+    ("maximal-implies-prime", lambda an: check_maximal_implies_prime(an)),
+    ("degeneracy-equivalence", lambda an: check_degeneracy_equivalence(an)),
+    ("prime-element-correspondence", lambda an: check_prime_element_correspondence(an)),
+    ("pt-rad-homeo", lambda an: check_spectrum_homeomorphism(an)),
+    ("rad-opens-iso", lambda an: check_radical_opens_iso(an)),
+    ("sobriety", _sobriety),
+)
+CHECK_NAMES = tuple(name for name, _ in VERDICTS)
+
+
 def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
     """Run the full fixed verdict suite against one instance."""
     an = Analysis(A)
@@ -193,69 +235,14 @@ def run_checks(A: FiniteOrderedSemiring) -> CheckReport:
         timings=timings,
     )
 
-    def verdict(name: str, body) -> None:
+    for name, body in VERDICTS:
         t0 = time.perf_counter()
         try:
-            body()
+            body(an)
             report.verdicts.append(Verdict(check=name, passed=True))
         except VerificationFailure as exc:
             report.verdicts.append(
                 Verdict(check=name, passed=False, witness=str(exc))
             )
         timings[name] = time.perf_counter() - t0
-
-    def oracle_equivalence() -> None:
-        # the sum formula reads a subset only through its product set, so
-        # it runs once per distinct product set; every mask is still closed
-        by_products: dict = {}
-        for (mask,) in _samples(A.n, SAMPLES, 1):
-            products = product_set(A, mask)
-            if products not in by_products:
-                by_products[products] = generated_ideal_by_sums(A, mask)
-            if an.close(mask) != by_products[products]:
-                raise InternalMismatch(
-                    f"{A.name}: closure and sum formula disagree on "
-                    f"{A.set_label(mask)}"
-                )
-
-    def product_of_generators() -> None:
-        for s, t in _samples(A.n, SAMPLES, 2):
-            if not check_product_of_generators(an, s, t):
-                raise InternalMismatch(
-                    f"{A.name}: <S><T> != <ST> at S={A.set_label(s)}, "
-                    f"T={A.set_label(t)}"
-                )
-
-    def sobriety() -> None:
-        result = check_sober(an.spectrum)
-        if not result.sober:
-            raise InternalMismatch(f"{A.name}: {result.witness}")
-
-    # the ideal-quantale laws are verified inside enumerate_ideals, so the
-    # verdict is whether the ideal quantale was built
-    verdict("idl-quantale-axioms", lambda: an.ideals)
-    verdict(
-        "idl-universality",
-        lambda: [check_quantale_universality(an, Q) for Q in quantale_targets()],
-    )
-    verdict("generated-ideal-oracle", oracle_equivalence)
-    verdict("product-of-generators", product_of_generators)
-    verdict("radical-semiprime", lambda: check_radical_equals_semiprime(an))
-    verdict(
-        "rad-universality",
-        lambda: [check_frame_universality(an, F) for F in frame_targets()],
-    )
-    verdict("coherence-iso", lambda: check_coherence(an))
-    verdict("dlat-presentation", lambda: an.reflection)
-    verdict("maximal-implies-prime", lambda: check_maximal_implies_prime(an))
-    verdict("degeneracy-equivalence", lambda: check_degeneracy_equivalence(an))
-    verdict(
-        "prime-element-correspondence",
-        lambda: check_prime_element_correspondence(an),
-    )
-    verdict("pt-rad-homeo", lambda: check_spectrum_homeomorphism(an))
-    verdict("rad-opens-iso", lambda: check_radical_opens_iso(an))
-    verdict("sobriety", sobriety)
-
-    assert tuple(v.check for v in report.verdicts) == CHECK_NAMES
     return report

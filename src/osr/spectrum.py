@@ -99,11 +99,18 @@ def make_space(
     return FiniteTopSpace(name, point_labels, opens, basis)
 
 
+def _product_inside(
+    A: FiniteOrderedSemiring, mask: int
+) -> Optional[tuple[int, int]]:
+    """The first pair of elements outside ``mask`` whose product falls
+    inside it, or None: a proper ideal with no such pair is prime."""
+    mul, outside = A.mul, [x for x in range(A.n) if not mask >> x & 1]
+    inside = ((x, y) for x in outside for y in outside if mask >> mul[x][y] & 1)
+    return next(inside, None)
+
+
 def _is_prime_mask(A: FiniteOrderedSemiring, mask: int) -> bool:
-    if mask >> A.one & 1:
-        return False
-    outside = [x for x in range(A.n) if not mask >> x & 1]
-    return all(not mask >> A.mul[x][y] & 1 for x in outside for y in outside)
+    return not mask >> A.one & 1 and _product_inside(A, mask) is None
 
 
 def enumerate_primes(A: Source) -> list[Ideal]:
@@ -150,14 +157,13 @@ def check_maximal_implies_prime(A: Source) -> None:
     for I in maximal:
         if I.mask in primes:
             continue
-        outside = [x for x in range(A.n) if not I.mask >> x & 1]
-        for x in outside:
-            for y in outside:
-                if I.mask >> A.mul[x][y] & 1:
-                    raise InternalMismatch(
-                        f"{A.name}: maximal ideal {I.label} is not prime; product "
-                        f"of {A.labels[x]} and {A.labels[y]} falls inside"
-                    )
+        pair = _product_inside(A, I.mask)
+        if pair is not None:
+            x, y = pair
+            raise InternalMismatch(
+                f"{A.name}: maximal ideal {I.label} is not prime; product "
+                f"of {A.labels[x]} and {A.labels[y]} falls inside"
+            )
         raise InternalMismatch(
             f"{A.name}: maximal ideal {I.label} is prime but missing from the "
             f"prime ideals"

@@ -234,12 +234,12 @@ def test_extend_to_quantale_hom():
     Q = osr.chain_frame(2)
     f = classify(z4, osr.build_from_quantale(Q), (0, 1, 0, 1))
     g = extend_to_quantale_hom(f, Q, iq)
-    by_label = {iq.ideals[i].label: g.values[i] for i in range(len(iq.ideals))}
+    by_label = {iq.ideals[i].label: g[i] for i in range(len(iq.ideals))}
     assert by_label == {"{0}": 0, "{0,2}": 0, "{0,1,2,3}": 1}
 
     emb = canonical_embedding(z4)
     ident = extend_to_quantale_hom(emb, iq.lattice, iq)
-    assert ident.values == tuple(range(len(iq.ideals)))
+    assert ident == tuple(range(len(iq.ideals)))
 
     with pytest.raises(NotSubadditive):
         extend_to_quantale_hom(
@@ -262,6 +262,17 @@ def test_extend_to_quantale_hom():
         extend_to_quantale_hom(f, not_integral, iq)
     with pytest.raises(NotIntegral):
         check_quantale_universality(z4, not_integral)
+
+
+def test_extension_refuses_the_ideals_of_another_semiring():
+    # an input error, not an IndexError or a library-fault InternalMismatch
+    z4 = osr.build_zmod(4)
+    Q = osr.chain_frame(2)
+    f = classify(z4, osr.build_from_quantale(Q), (0, 1, 0, 1))
+    for other in ("zmod:6", "zmod:2", "chain:4"):
+        iq = enumerate_ideals(osr.from_builder_spec(other))
+        with pytest.raises(OwnerMismatch):
+            extend_to_quantale_hom(f, Q, iq)
 
 
 def test_extension_closes_each_mask_once(monkeypatch):
@@ -310,13 +321,13 @@ def test_induced_quantale_hom():
     z6 = osr.build_zmod(6)
     iq = enumerate_ideals(z6)
     ident = classify(z6, z6, tuple(range(6)))
-    assert induced_quantale_hom(ident).values == tuple(range(len(iq.ideals)))
+    assert induced_quantale_hom(ident) == tuple(range(len(iq.ideals)))
 
     b = two()
     f = classify(z6, b, tuple(0 if x in (0, 2, 4) else 1 for x in range(6)))
     iqb = enumerate_ideals(b)
     hom = induced_quantale_hom(f)
-    by_label = {iq.ideals[i].label: iqb.ideals[hom.values[i]].label
+    by_label = {iq.ideals[i].label: iqb.ideals[hom[i]].label
                 for i in range(len(iq.ideals))}
     assert by_label["{0,2,4}"] == "{0}"
     assert by_label["{0,3}"] == "{0,1}"
@@ -329,7 +340,7 @@ def test_induced_hom_respects_composition():
     lhs = induced_quantale_hom(osr.compose(f, g))
     f_act = induced_quantale_hom(f)
     g_act = induced_quantale_hom(g)
-    assert lhs.values == tuple(g_act.values[v] for v in f_act.values)
+    assert lhs == tuple(g_act[v] for v in f_act)
 
 
 def test_arbitrary_subset_distributivity_literally():
@@ -371,5 +382,5 @@ def test_extension_on_two_chain_itself():
     iqb = enumerate_ideals(b)
     f = classify(b, osr.build_from_quantale(osr.chain_frame(2)), (0, 1))
     g = extend_to_quantale_hom(f, osr.chain_frame(2), iqb)
-    by_label = {iqb.ideals[i].label: g.values[i] for i in range(len(iqb.ideals))}
+    by_label = {iqb.ideals[i].label: g[i] for i in range(len(iqb.ideals))}
     assert by_label == {"{0}": 0, "{0,1}": 1}

@@ -57,7 +57,7 @@ def f2xy_description() -> RawSemiringDescription:
 
 
 def f2xy():
-    return osr.validate(parse_file(str(F2XY)).description)
+    return osr.validate(parse_file(str(F2XY)))
 
 
 def drop_ideal(monkeypatch, A, lost: int) -> None:

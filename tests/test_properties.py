@@ -69,7 +69,7 @@ def test_radical_closure_laws(case):
 @settings(max_examples=25)
 def test_description_round_trip(A):
     desc = A.describe()
-    assert parse(render(desc)).description == desc
+    assert parse(render(desc)) == desc
 
 
 @given(st.data())

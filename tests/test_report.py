@@ -126,3 +126,40 @@ def test_timings_hold_each_phase_then_each_verdict():
     assert tuple(report.timings) == ("ideals", "radicals", "spectrum", *CHECK_NAMES)
     assert all(t >= 0 for t in report.timings.values())
     assert json.loads(report.to_json())["timings"] == {}
+
+
+# each function run_checks calls through osr.report, and the verdict it owns
+VERDICT_OF = {
+    "check_quantale_universality": "idl-universality",
+    "generated_ideal_by_sums": "generated-ideal-oracle",
+    "check_product_of_generators": "product-of-generators",
+    "check_radical_equals_semiprime": "radical-semiprime",
+    "check_frame_universality": "rad-universality",
+    "check_coherence": "coherence-iso",
+    "check_maximal_implies_prime": "maximal-implies-prime",
+    "check_degeneracy_equivalence": "degeneracy-equivalence",
+    "check_prime_element_correspondence": "prime-element-correspondence",
+    "check_spectrum_homeomorphism": "pt-rad-homeo",
+    "check_radical_opens_iso": "rad-opens-iso",
+    "check_sober": "sobriety",
+}
+
+
+@pytest.mark.parametrize("function", sorted(VERDICT_OF))
+def test_each_verdict_calls_its_check_through_the_report_module(
+    monkeypatch, function
+):
+    # tracers and fault tests rebind these names in osr.report; a verdict
+    # that held the function itself would miss the rebinding
+    from osr.errors import InternalMismatch
+
+    def broken(*args, **kwargs):
+        raise InternalMismatch(f"{function} deliberately broken")
+
+    monkeypatch.setattr(osr.report, function, broken)
+    failed = {
+        v.check: v.witness
+        for v in run_checks(from_builder_spec("zmod:6")).verdicts
+        if not v.passed
+    }
+    assert failed == {VERDICT_OF[function]: f"{function} deliberately broken"}
