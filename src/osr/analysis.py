@@ -11,7 +11,9 @@ with the analysis, so a new analysis of the same semiring verifies
 everything again.  The only things kept per process are the fixed stock of
 target lattices, their semirings and ``two()``, and the report's subset
 samples, none of which depends on any instance.  The constructors live
-in modules that build on this one, so each is imported when first used.
+in modules that build on this one, so each is imported when first used;
+``ideals``, whose closure every analysis runs, is imported once, at the end
+of this module.
 """
 
 from __future__ import annotations
@@ -62,11 +64,10 @@ class Analysis:
 
     def close(self, mask: int) -> int:
         """``ideals._close(owner, mask)``, computed once per mask."""
-        if mask not in self._closures:
-            from .ideals import _close
-
-            self._closures[mask] = _close(self.owner, mask)
-        return self._closures[mask]
+        closed = self._closures.get(mask)
+        if closed is None:
+            closed = self._closures[mask] = ideals._close(self.owner, mask)
+        return closed
 
     def universality(
         self, kind: str, target: "FiniteLattice", strict_zero: bool
@@ -172,3 +173,8 @@ Source = FiniteOrderedSemiring | Analysis
 def analysis(A: Source) -> Analysis:
     """``A`` itself if it is an analysis, else a new analysis of ``A``."""
     return A if isinstance(A, Analysis) else Analysis(A)
+
+
+# last: ideals builds on this module; ``close`` reads ``ideals._close`` when it
+# runs, so a rebound ``_close`` is the one called
+from . import ideals  # noqa: E402

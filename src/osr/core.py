@@ -225,7 +225,7 @@ class FiniteOrderedSemiring(Record):
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -266,6 +266,33 @@ class FiniteOrderedSemiring(Record):
                 mask |= 1 << p
                 p = self.mul[p][x]
             out.append(mask)
+        return tuple(out)
+
+    @cached_property
+    def slice_images(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The ``add`` and ``mul`` images of subsets, four columns at a time.
+
+        ``slice_images[0][x][16 * k + nib]`` is the bitmask of ``x + y`` for
+        ``y`` in slice ``k`` of the carrier (elements ``4k .. 4k+3``) whose
+        bit ``y - 4k`` is set in ``nib``; ``slice_images[1]`` holds ``x * y``
+        the same way.  The image of a subset under row ``x`` is the OR of one
+        entry per slice it meets.  Columns past ``n`` add nothing.
+        """
+        slices = range(0, self.n, 4)
+        out = []
+        for table in (self.add, self.mul):
+            rows = []
+            for row in table:
+                flat = []
+                for k in slices:
+                    cols = [1 << v for v in row[k : k + 4]] + [0] * 3
+                    entries = [0]
+                    for nib in range(1, 16):
+                        low = nib & -nib
+                        entries.append(entries[nib ^ low] | cols[low.bit_length() - 1])
+                    flat += entries
+                rows.append(tuple(flat))
+            out.append(tuple(rows))
         return tuple(out)
 
     @cached_property

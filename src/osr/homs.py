@@ -97,8 +97,11 @@ def join_extension(
     L: IdealLattice, target: FiniteLattice, f_values
 ) -> tuple[int, ...]:
     """The map sending each ideal of ``L`` to the join in ``target`` of the
-    images ``f_values`` of its members, as target indices.  Each ideal's
-    member images are one gather; the fold joins each distinct one once."""
+    images ``f_values`` of its members, as target indices.  ``f_values`` is
+    monotone (every listed morphism is), so the join over an ideal's
+    maximal members is the join over all of them: each ideal's maximal
+    member images are one gather, and the fold joins each distinct one
+    once.  A wrong extension fails the hom and triangle checks."""
     return tuple(target.join_of(set(g(f_values))) for g in L.member_gathers)
 
 

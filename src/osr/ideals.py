@@ -3,9 +3,14 @@
 An ideal is a downward-closed subset that contains zero, is closed under
 addition, and absorbs multiplication.  Generated ideals are computed by a
 one-pass worklist closure (``_close``) that handles each element of the
-result at most once and each pair of elements at most once; the explicit
-bounded-sum formula is kept alongside as an independent oracle and the two
-are compared by the verification suite.
+result at most once and each pair of elements at most once, and stops
+once the result is the whole carrier.  Its sums and the products of two
+subsets (``_products``) are read four columns at a time from the
+semiring's ``slice_images``, which hold the image of every subset of each
+four-element slice under each row of ``add`` and ``mul`` (the Method of
+Four Russians).  The explicit bounded-sum formula is kept alongside as an
+independent oracle that, like ``is_ideal``, reads only the raw tables, and
+the two are compared by the verification suite.
 
 Ideal identity is by member bitmask; within one IdealLattice the ideals
 are interned in canonical order (by size, then bitmask) and all tables are
@@ -18,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .analysis import Source, _kept, analysis
+from .analysis import Analysis, Source, analysis
 from .core import (
     FiniteLattice,
     FiniteOrderedSemiring,
@@ -104,14 +109,18 @@ def _close(A: FiniteOrderedSemiring, mask: int) -> int:
     Every element that enters the mask is taken from a worklist once.
     Taking ``x`` ORs in ``A.multiples[x]``, everything below some ``x*y``
     (downward closure and absorption in one step, since ``x*1 = x``), and
-    adds ``x+y`` for every ``y`` taken before it, ``x`` included.  Each pair
-    of elements is thus added once, not once per round of a naive fixed
-    point.  An element strictly below another one of the mask is dropped
-    from the worklist instead: by monotonicity everything it would add lies
-    below something the larger element adds.  "Strictly" keeps two elements
-    that are each below the other (a preorder) from dropping each other.
+    adds ``x+y`` for every ``y`` taken before it, ``x`` included: the
+    ``add`` image of the taken set, one ``slice_images`` lookup per four
+    elements.  Each pair of elements is thus added once, not once per round
+    of a naive fixed point.  An element strictly below another one of the
+    mask is dropped from the worklist instead: by monotonicity everything
+    it would add lies below something the larger element adds.  "Strictly"
+    keeps two elements that are each below the other (a preorder) from
+    dropping each other.  The walk stops once the mask is the whole
+    carrier, an ideal that nothing can grow.
     """
-    add, leq, lower, multiples = A.add, A.leq, A.lower_masks, A.multiples
+    images, leq, lower, multiples = A.slice_images[0], A.leq, A.lower_masks, A.multiples
+    full = A.full_mask
     mask |= 1 << A.zero
     taken = seen = 0
     todo = mask
@@ -122,11 +131,13 @@ def _close(A: FiniteOrderedSemiring, mask: int) -> int:
         if not leq[x] & ~lower[x] & mask:
             taken |= low
             mask |= multiples[x]
-            row, rest = add[x], taken
+            row, rest, k = images[x], taken, 0
             while rest:
-                bit = rest & -rest
-                mask |= 1 << row[bit.bit_length() - 1]
-                rest ^= bit
+                mask |= row[k | rest & 15]
+                rest >>= 4
+                k += 16
+            if mask == full:
+                break
         todo = mask & ~seen
     return mask
 
@@ -214,13 +225,23 @@ def ideal_product(A: Source, I: Ideal, J: Ideal) -> Ideal:
 
 
 def _products(A: FiniteOrderedSemiring, s_mask: int, t_mask: int) -> int:
-    """Mask of every product ``s*t`` with ``s`` in one subset, ``t`` in the other."""
-    ts = list(bits(t_mask))
+    """Mask of every product ``s*t`` with ``s`` in one subset, ``t`` in the
+    other: the OR of the ``mul`` images of ``t_mask`` under each row ``s``."""
+    images = A.slice_images[1]
+    entries = []  # the entry of each slice that t_mask meets
+    k = 0
+    while t_mask:
+        if t_mask & 15:
+            entries.append(k | t_mask & 15)
+        t_mask >>= 4
+        k += 16
     out = 0
-    for s in bits(s_mask):
-        row = A.mul[s]
-        for t in ts:
-            out |= 1 << row[t]
+    while s_mask:
+        low = s_mask & -s_mask
+        row = images[low.bit_length() - 1]
+        for i in entries:
+            out |= row[i]
+        s_mask ^= low
     return out
 
 
@@ -232,11 +253,12 @@ def check_product_of_generators(A: Source, S: Members, T: Members) -> bool:
     distinct subset once and multiplies each distinct pair of ideals once.
     """
     an = analysis(A)
-    A, close = an.owner, an.close
+    A, close, kept = an.owner, an.close, an._built
     s_mask, t_mask = as_mask(A, S), as_mask(A, T)
-    cs, ct = close(s_mask), close(t_mask)
-    lhs = _kept(an, ("product", cs, ct), lambda: close(_products(A, cs, ct)))
-    return lhs == close(_products(A, s_mask, t_mask))
+    key = ("product", close(s_mask), close(t_mask))
+    if key not in kept:
+        kept[key] = close(_products(A, key[1], key[2]))
+    return kept[key] == close(_products(A, s_mask, t_mask))
 
 
 class IdealLattice(Record):
@@ -259,8 +281,13 @@ class IdealLattice(Record):
 
     @cached_property
     def member_gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
-        """A ``gather`` of each ideal's members, in the order of ``ideals``."""
-        return tuple(gather(I.members) for I in self.ideals)
+        """A ``gather`` of each ideal's maximal members (those strictly below
+        no other member), in the order of ``ideals``."""
+        leq, lower = self.owner.leq, self.owner.lower_masks
+        return tuple(
+            gather(x for x in I.members if not leq[x] & ~lower[x] & I.mask)
+            for I in self.ideals
+        )
 
     def index_of(self, mask: int) -> int:
         """The index of an ideal the library computed; a miss is a fault."""
@@ -381,6 +408,14 @@ def extend_to_quantale_hom(
     the triangle reads every principal ideal through one analysis of the
     source.
     """
+    return _extend(analysis(f.source), f, Q, iq)
+
+
+def _extend(
+    an: Analysis, f: MorphismTable, Q: FiniteLattice, iq: IdealLattice
+) -> tuple[int, ...]:
+    """``extend_to_quantale_hom``, reading every principal ideal through
+    ``an``, an analysis of ``f.source``."""
     if not f.is_subadditive_morphism:
         raise NotSubadditive(
             f"{f.source.name} -> {f.target.name} lacks the subadditive-morphism flag"
@@ -395,7 +430,6 @@ def extend_to_quantale_hom(
         raise OwnerMismatch(
             f"ideals of {iq.owner.name} given for a morphism out of {f.source.name}"
         )
-    an = analysis(f.source)
     A = an.owner
     values = join_extension(iq, Q, f.values)
     if not is_quantale_hom(iq.lattice, Q, values):
@@ -429,18 +463,18 @@ def induced_quantale_hom(f: MorphismTable) -> tuple[int, ...]:
 
     Sends each ideal to the ideal generated by its image.  Computed as the
     join extension of the composite with the target's principal-ideal map,
-    and cross-checked against direct image generation.
+    and cross-checked against direct image generation.  Each side has one
+    analysis, so no subset of either is closed twice.
     """
     if not f.is_subadditive_morphism:
         raise NotSubadditive(
             f"{f.source.name} -> {f.target.name} lacks the subadditive-morphism flag"
         )
     A, B = f.source, f.target
-    target = analysis(B)
-    source_iq, target_iq = enumerate_ideals(A), target.ideals
-    hom = extend_to_quantale_hom(
-        compose(f, canonical_embedding(target)), target_iq.lattice, source_iq
-    )
+    source, target = analysis(A), analysis(B)
+    source_iq, target_iq = source.ideals, target.ideals
+    g = compose(f, canonical_embedding(target))
+    hom = _extend(source, g, target_iq.lattice, source_iq)
     for i, I in enumerate(source_iq.ideals):
         image = generated_ideal(target, {f.values[x] for x in I.members})
         if target_iq.index_of(image.mask) != hom[i]:

@@ -14,8 +14,9 @@ phase and one per verdict, appear only in the human rendering).
 The two sampled verdicts read the same subset samples on every call: they
 depend only on the carrier size, so each list is drawn once per process.
 The generated-ideal oracle evaluates the bounded-sum formula once per
-distinct ``product_set`` of the sampled subsets, the only thing the formula
-reads of a subset; every sampled subset is still closed and compared.
+distinct product-set mask of the sampled subsets (the mask of their
+``product_set``, the only thing the formula reads of a subset); every
+sampled subset is still closed and compared.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from typing import NamedTuple, Optional
 
 from .analysis import Analysis
 from .builders import nilpotent_chain_quantale
-from .core import FiniteLattice, FiniteOrderedSemiring
+from .core import FiniteLattice, FiniteOrderedSemiring, bits
 from .errors import InternalMismatch, VerificationFailure
 from .ideals import (
     check_product_of_generators,
     check_quantale_universality,
     generated_ideal_by_sums,
-    product_set,
 )
 from .radicals import (
     check_coherence,
@@ -147,11 +147,15 @@ def _size(an: Analysis, structure: str) -> Optional[int]:
 
 def _oracle_equivalence(an: Analysis) -> None:
     """The closure and the bounded-sum formula agree on the sampled subsets,
-    the formula evaluated once per distinct product set."""
+    the formula evaluated once per distinct product set, keyed by its mask:
+    the OR of the rows of the multiplication table, each read as a mask."""
     A = an.owner
+    row_masks = [sum({1 << v for v in row}) for row in A.mul]
     by_products: dict = {}
     for (mask,) in _samples(A.n, SAMPLES, 1):
-        products = product_set(A, mask)
+        products = 0
+        for s in bits(mask):
+            products |= row_masks[s]
         if products not in by_products:
             by_products[products] = generated_ideal_by_sums(A, mask)
         if an.close(mask) != by_products[products]:

@@ -1,5 +1,6 @@
 """Ideal arithmetic and the quantale structure."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -138,14 +139,43 @@ def test_multiples_are_the_principal_ideals(family8):
         )
 
 
+def atoms_last_downsets():
+    """The downsets of 0 < 1, 0 < 2 and a point 3, listed bottom first and
+    then from the top down: the last four-element slice, two of ten
+    elements, holds the atoms {0} and {3}, whose join only a closure's sum
+    step adds.  On no builder's instance of 5 to 13 elements does a fault
+    confined to the last slice of the sum table change a closure."""
+    A = osr.build_dlat_from_poset(4, [(0, 1), (0, 2)])
+    order = sorted(
+        range(A.n), key=lambda i: (i != A.zero, -A.lower_masks[i].bit_count())
+    )
+    desc = A.describe()
+
+    def pick(T):
+        return tuple(tuple(T[i][j] for j in order) for i in order)
+
+    B = osr.validate(
+        desc._replace(
+            elements=tuple(desc.elements[i] for i in order),
+            add_table=pick(desc.add_table),
+            mul_table=pick(desc.mul_table),
+        )
+    )
+    assert {B.labels[8], B.labels[9]} == {"{0}", "{3}"}
+    return B
+
+
 def test_generated_matches_intersection_oracle(family8):
-    """Every seed subset, over the family and over two genuine preorders
+    """Every seed subset, over the family, over two genuine preorders
     (distinct elements each below the other), where a closure that assumed
-    antisymmetry would go wrong."""
+    antisymmetry would go wrong, and over carriers of three four-element
+    slices, the last one partial except on zmod:12."""
     from .oracle import ideal_masks_bruteforce as all_ideals
     from .test_preorders import glued_truncnat3, indiscrete_z2
 
-    for A in [*family8, indiscrete_z2(), glued_truncnat3()]:
+    specs = ("chain:9", "truncnat:8", "zmod:10", "zmod:12")
+    sliced = [*map(osr.from_builder_spec, specs), atoms_last_downsets()]
+    for A in [*family8, indiscrete_z2(), glued_truncnat3(), *sliced]:
         ideals = all_ideals(A)
         full = (1 << A.n) - 1
         for seed in range(1 << A.n):
@@ -155,6 +185,21 @@ def test_generated_matches_intersection_oracle(family8):
                     expected &= mask
             assert generated_ideal(A, seed).mask == expected
             assert generated_ideal_by_sums(A, seed) == expected
+
+
+@pytest.mark.parametrize("spec", ["chain:24", "zmod:24", "truncnat:23", "zmod:23"])
+def test_sliced_products_match_the_pair_loop(spec):
+    # zmod:23 ends in a partial slice of three elements
+    A = osr.from_builder_spec(spec)
+    rng = random.Random(spec)
+    for _ in range(300):
+        s, t = rng.randrange(1 << A.n), rng.randrange(1 << A.n)
+        want = 0
+        for x in range(A.n):
+            for y in range(A.n):
+                if s >> x & 1 and t >> y & 1:
+                    want |= 1 << A.mul[x][y]
+        assert osr.ideals._products(A, s, t) == want
 
 
 def test_ideal_join():
@@ -291,6 +336,23 @@ def test_extension_closes_each_mask_once(monkeypatch):
     monkeypatch.setattr(osr.ideals, "_close", counted)
     extend_to_quantale_hom(g, target.ideals.lattice, iq)
     assert closed and set(closed.values()) == {1}
+
+
+def test_induced_hom_closes_each_mask_once_per_semiring(monkeypatch):
+    # the source's ideals and the triangle read one analysis of the source,
+    # the target's ideals and the image cross-check one of the target
+    z12, z6 = osr.build_zmod(12), osr.build_zmod(6)
+    (f,) = osr.enumerate_subadditive(z12, z6)
+    closed = Counter()
+
+    def counted(A, mask, _original=osr.ideals._close):
+        closed[A, mask] += 1
+        return _original(A, mask)
+
+    monkeypatch.setattr(osr.ideals, "_close", counted)
+    induced_quantale_hom(f)
+    assert {A for A, _ in closed} == {z12, z6}
+    assert set(closed.values()) == {1}
 
 
 def test_quantale_universality_examples():

@@ -2,6 +2,7 @@
 cross-check, and the carrier sizes it makes reachable."""
 
 import ast
+import inspect
 import random
 from itertools import product
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import osr
 import osr.homs
+import osr.ideals
 import osr.morphisms
 import osr.search
 from osr.cli import main
@@ -391,19 +393,25 @@ def test_primes_at_the_carrier_cap(capsys):
 
 
 def test_engine_and_oracles_do_not_use_the_leaf_gathers():
-    # classify and is_quantale_hom read whole tables as byte lanes, and
-    # join_extension through core.gather; the engine whose leaves they
-    # re-check and the raw oracles must not, or one fault there could hide
-    # in both
+    # classify and is_quantale_hom read whole tables as byte lanes,
+    # join_extension through core.gather, and the closure and ideal products
+    # through slice_images; the engine whose leaves they re-check, the raw
+    # oracles and the raw ideal routes that check the closure must not, or
+    # one fault there could hide in both
     leaf_names = {"gather", "image", "gathers", "member_gathers", "order_pairs"}
-    leaf_names |= {"lanes", "rows", "lane_table", "translate"}
-    for path in (Path(osr.search.__file__), Path(__file__).with_name("oracle.py")):
+    leaf_names |= {"lanes", "rows", "lane_table", "translate", "slice_images"}
+    raw_routes = (osr.ideals.is_ideal, osr.ideals.generated_ideal_by_sums)
+    raw_routes += (osr.ideals.product_set,)
+    sources = [Path(osr.search.__file__).read_text()]
+    sources.append(Path(__file__).with_name("oracle.py").read_text())
+    sources += [inspect.getsource(f) for f in raw_routes]
+    for source in sources:
         names = set()
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.update(node.name.split("."))
-        assert not names & leaf_names, path.name
+        assert not names & leaf_names, source.splitlines()[0]
