@@ -2,8 +2,9 @@
 
 An ``Analysis`` is made for one ``run_checks`` call or one CLI command.  It
 keeps what it derives from its semiring: the structures below, every ideal
-closure (``close``), the product ``<<S><T>>`` of each pair of closed masks
-that ``ideals.check_product_of_generators`` multiplied, every
+closure (``close``) and radical closure (``radical``), the product
+``<<S><T>>`` of each pair of closed masks that
+``ideals.check_product_of_generators`` multiplied, every
 universal-property result (``universality``) and the subadditive morphisms
 those results compare against, one list per target semiring and zero-axiom
 variant, each with the failure its build raised, if any.  All of it dies
@@ -12,8 +13,8 @@ everything again.  The only things kept per process are the fixed stock of
 target lattices, their semirings and ``two()``, and the report's subset
 samples, none of which depends on any instance.  The constructors live
 in modules that build on this one, so each is imported when first used;
-``ideals``, whose closure every analysis runs, is imported once, at the end
-of this module.
+``ideals`` and ``radicals``, whose closures an analysis runs, are imported
+once, at the end of this module.
 """
 
 from __future__ import annotations
@@ -60,13 +61,22 @@ class Analysis:
 
     def __init__(self, owner: FiniteOrderedSemiring) -> None:
         self.owner = owner
-        self._built, self._closures = {}, {}  # by key; by mask
+        self._built, self._closures, self._radicals = {}, {}, {}  # by key; by mask
 
     def close(self, mask: int) -> int:
         """``ideals._close(owner, mask)``, computed once per mask."""
         closed = self._closures.get(mask)
         if closed is None:
             closed = self._closures[mask] = ideals._close(self.owner, mask)
+        return closed
+
+    def radical(self, mask: int) -> int:
+        """The least radical ideal containing ``mask``: ``radical_closure``
+        of the ideal ``close(mask)``, computed once per mask."""
+        closed = self._radicals.get(mask)
+        if closed is None:
+            ideal = ideals.Ideal(self.owner, self.close(mask))
+            closed = self._radicals[mask] = radicals.radical_closure(self, ideal).mask
         return closed
 
     def universality(
@@ -156,11 +166,9 @@ class Analysis:
     def radical_principal(self) -> tuple[int, ...]:
         """The universal map x -> radical of <x>, as indices into ``radicals``;
         each principal ideal is read from ``principal``."""
-        from .radicals import radical_closure
-
         ideals = self.ideals.ideals
         return tuple(
-            self.radicals.index_of(radical_closure(self, ideals[i]).mask)
+            self.radicals.index_of(self.radical(ideals[i].mask))
             for i in self.principal
         )
 
@@ -175,6 +183,7 @@ def analysis(A: Source) -> Analysis:
     return A if isinstance(A, Analysis) else Analysis(A)
 
 
-# last: ideals builds on this module; ``close`` reads ``ideals._close`` when it
-# runs, so a rebound ``_close`` is the one called
-from . import ideals  # noqa: E402
+# last: ideals and radicals build on this module; ``close`` reads
+# ``ideals._close`` and ``radical`` ``radicals.radical_closure`` when they
+# run, so a rebound function is the one called
+from . import ideals, radicals  # noqa: E402

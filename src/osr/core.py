@@ -3,7 +3,13 @@
 Carriers are canonicalized to indices ``0..n-1`` in input order and every
 subset downstream is an int bitmask (bit ``i`` = element ``i``).  All
 structures are frozen; axiom checking is always exhaustive -- at desk scale
-(n <= 24) there is no reason for a trusted fast path.
+(n <= 24) there is no reason for a trusted fast path.  The cubic laws,
+associativity (``associativity_rows``) and distributivity
+(``distributivity_rows``), still compare every triple, one whole row ``x``
+at a time: each side of the law over all ``(y, z)`` is a tuple of ``n``
+rows built by ``gather`` at C speed, the two are compared once, and the
+first mismatch of a row gives back its witness ``(y, z)``.  These tuples
+hold structures of any size.
 
 The exhaustive re-check of a map (``morphisms.classify``,
 ``homs.is_quantale_hom``) reads each structure's tables as bytes, one byte
@@ -24,6 +30,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Iterable,
+    Iterator,
     NamedTuple,
     Optional,
     Sequence,
@@ -102,6 +109,58 @@ def gather(idx: Iterable[int]) -> Callable[[Sequence], tuple]:
     if len(idx) == 1:  # itemgetter of one index returns the item, not a tuple
         return lambda seq, i=idx[0]: (seq[i],)
     return itemgetter(*idx)
+
+
+def _first_difference(a: Sequence, b: Sequence) -> int:
+    """The first index at which two sequences of equal length differ."""
+    return next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
+
+
+def _first_mismatch(left: tuple, right: tuple, n: int) -> Optional[int]:
+    """None if two tuples of rows are equal, else the first ``y * n + z``
+    at which they differ, ``y`` the row and ``z`` the column."""
+    if left == right:
+        return None
+    y = _first_difference(left, right)
+    return y * n + _first_difference(left[y], right[y])
+
+
+def associativity_rows(op: Table) -> Iterator[Optional[int]]:
+    """For each ``x`` in turn, the first ``y * n + z`` at which
+    ``op[op[x][y]][z] != op[x][op[y][z]]``, or None if there is none.
+
+    Row ``x`` of the left side over all ``(y, z)`` is the rows
+    ``op[op[x][y]]``, one gather of the table by row ``x``; row ``y`` of
+    the right side is row ``x`` gathered by row ``y``: one comparison of
+    two tuples of rows per ``x``.
+    """
+    by_row = [gather(row) for row in op]
+    for row in op:
+        right = tuple([g(row) for g in by_row])
+        yield _first_mismatch(gather(row)(op), right, len(op))
+
+
+def distributivity_rows(mul: Table, add: Table) -> Iterator[Optional[int]]:
+    """For each ``x`` in turn, the first ``y * n + z`` at which
+    ``mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]``, or None.
+
+    Row ``y`` of the left side is row ``x`` of ``mul`` gathered by row
+    ``y`` of ``add``; the right side is that row's gather applied to
+    ``add``'s rows and then to each row it picked.
+    """
+    by_row = [gather(row) for row in add]
+    for row in mul:
+        g = gather(row)
+        left = tuple([h(row) for h in by_row])
+        yield _first_mismatch(left, tuple(map(g, g(add))), len(mul))
+
+
+def _first_triple(rows: Iterable[Optional[int]], n: int) -> Optional[tuple]:
+    """The first ``(x, y, z)`` that a ``*_rows`` kernel reports, or None."""
+    for x, k in enumerate(rows):
+        if k is not None:
+            return (x, *divmod(k, n))
+    return None
 
 
 def lane_table(values: Sequence[int]) -> bytes:
@@ -221,7 +280,7 @@ class FiniteOrderedSemiring(Record):
     add: Table
     mul: Table
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.labels)
 
@@ -425,18 +484,9 @@ def _axiom_failures(A: FiniteOrderedSemiring):
         )
         if comm:
             yield (f"{opname}-commutative", comm)
-        assoc = next(
-            (
-                (lab[x], lab[y], lab[z])
-                for x in range(n)
-                for y in range(n)
-                for z in range(n)
-                if op[op[x][y]][z] != op[x][op[y][z]]
-            ),
-            None,
-        )
-        if assoc:
-            yield (f"{opname}-associative", assoc)
+        assoc = _first_triple(associativity_rows(op), n)
+        if assoc is not None:
+            yield (f"{opname}-associative", tuple(lab[i] for i in assoc))
         ident = next(((lab[x],) for x in range(n) if op[x][unit] != x), None)
         if ident:
             yield (f"{opname}-identity", ident)
@@ -445,18 +495,9 @@ def _axiom_failures(A: FiniteOrderedSemiring):
     if annih:
         yield ("mul-annihilates", annih)
 
-    dist = next(
-        (
-            (lab[x], lab[y], lab[z])
-            for x in range(n)
-            for y in range(n)
-            for z in range(n)
-            if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]
-        ),
-        None,
-    )
-    if dist:
-        yield ("distributive", dist)
+    dist = _first_triple(distributivity_rows(mul, add), n)
+    if dist is not None:
+        yield ("distributive", tuple(lab[i] for i in dist))
 
     # monotone in one argument suffices: both ops are commutative
     for opname, op in (("add", add), ("mul", mul)):
@@ -556,19 +597,13 @@ class FiniteLattice(Record):
     mul: Optional[Table]
     unit: Optional[int]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.labels)
 
     @cached_property
     def is_distributive(self) -> bool:
-        meet, join, n = self.meet, self.join, self.n
-        return all(
-            meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
-            for x in range(n)
-            for y in range(n)
-            for z in range(n)
-        )
+        return all(k is None for k in distributivity_rows(self.meet, self.join))
 
     @property
     def is_integral_quantale(self) -> bool:
@@ -669,8 +704,9 @@ def lattice_from_order(
     """Build a FiniteLattice from a partial order given as bitmask rows.
 
     Computes join/meet tables (NotALattice if some bound is missing or the
-    relation is not a partial order) and, when ``mul`` is supplied, checks
-    the quantale laws exhaustively (NotAQuantale on failure).
+    relation is not a partial order), each entry one lookup of an up-set or
+    lower set, and, when ``mul`` is supplied, checks the quantale laws
+    exhaustively, a row at a time (NotAQuantale on failure).
     """
     n = len(labels)
     leq = tuple(leq)
@@ -685,55 +721,59 @@ def lattice_from_order(
                     f"order not antisymmetric: {labels[i]} and {labels[j]}"
                 )
 
+    # the up-set of a join is the intersection of the two up-sets, and the
+    # lower set of a meet that of the two lower sets: each bound, if it
+    # exists, is the element whose row is that intersection
     lower = lower_masks(leq)
-
-    def least(candidates: int, what: str) -> int:
-        for u in bits(candidates):
-            if candidates & ~leq[u] == 0:
-                return u
-        raise NotALattice(f"no {what}")
-
-    def greatest(candidates: int, what: str) -> int:
-        for u in bits(candidates):
-            if candidates & ~lower[u] == 0:
-                return u
-        raise NotALattice(f"no {what}")
-
+    up = {row: u for u, row in enumerate(leq)}
+    down = {row: u for u, row in enumerate(lower)}
     join_t = []
     meet_t = []
     for i in range(n):
-        jrow = []
-        mrow = []
-        for j in range(n):
-            jrow.append(least(leq[i] & leq[j], f"join of {labels[i]},{labels[j]}"))
-            mrow.append(
-                greatest(lower[i] & lower[j], f"meet of {labels[i]},{labels[j]}")
-            )
-        join_t.append(tuple(jrow))
-        meet_t.append(tuple(mrow))
+        jrow = tuple(map(up.get, map(leq[i].__and__, leq)))
+        mrow = tuple(map(down.get, map(lower[i].__and__, lower)))
+        if None in jrow or None in mrow:
+            j = next(j for j in range(n) if jrow[j] is None or mrow[j] is None)
+            what = "join" if jrow[j] is None else "meet"
+            raise NotALattice(f"no {what} of {labels[i]},{labels[j]}")
+        join_t.append(jrow)
+        meet_t.append(mrow)
     join: Table = tuple(join_t)
     meet: Table = tuple(meet_t)
-    bottom = least((1 << n) - 1, "bottom")
-    top = greatest((1 << n) - 1, "top")
+    full = (1 << n) - 1
+    bottom, top = up.get(full), down.get(full)
+    if bottom is None or top is None:
+        raise NotALattice("no bottom" if bottom is None else "no top")
 
     if mul is not None:
         if unit is None:
             raise NotAQuantale("multiplication given without a unit")
-        for x in range(n):
-            if mul[x][unit] != x:
+        mul = tuple(map(tuple, mul))
+        columns = tuple(zip(*mul))
+        # the loop order of the laws: per x the unit, bottom, then per y
+        # commutativity and per z associativity before distribution; the
+        # first failure in that order is the one raised
+        assoc_rows = associativity_rows(mul)
+        dist_rows = distributivity_rows(mul, join)
+        for x, row in enumerate(mul):
+            if row[unit] != x:
                 raise NotAQuantale(f"unit law fails at {labels[x]}")
-            if mul[x][bottom] != bottom:
+            if row[bottom] != bottom:
                 raise NotAQuantale(f"bottom not absorbing at {labels[x]}")
-            for y in range(n):
-                if mul[x][y] != mul[y][x]:
-                    raise NotAQuantale(f"not commutative at {labels[x]},{labels[y]}")
-                for z in range(n):
-                    if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                        raise NotAQuantale("not associative")
-                    if mul[x][join[y][z]] != join[mul[x][y]][mul[x][z]]:
-                        raise NotAQuantale(
-                            "multiplication does not distribute over join"
-                        )
+            assoc, dist = next(assoc_rows), next(dist_rows)
+            failures = []  # (y * n + z, rank at that (y, z), message)
+            if row != columns[x]:
+                y = _first_difference(row, columns[x])
+                comm = f"not commutative at {labels[x]},{labels[y]}"
+                failures.append((y * n, 0, comm))
+            if assoc is not None:
+                failures.append((assoc, 1, "not associative"))
+            if dist is not None:
+                failures.append(
+                    (dist, 2, "multiplication does not distribute over join")
+                )
+            if failures:
+                raise NotAQuantale(min(failures)[2])
 
     return FiniteLattice(
         name=name or "lattice",
@@ -743,7 +783,7 @@ def lattice_from_order(
         meet=meet,
         bottom=bottom,
         top=top,
-        mul=tuple(tuple(r) for r in mul) if mul is not None else None,
+        mul=mul,
         unit=unit,
     )
 

@@ -99,10 +99,21 @@ def join_extension(
     """The map sending each ideal of ``L`` to the join in ``target`` of the
     images ``f_values`` of its members, as target indices.  ``f_values`` is
     monotone (every listed morphism is), so the join over an ideal's
-    maximal members is the join over all of them: each ideal's maximal
-    member images are one gather, and the fold joins each distinct one
-    once.  A wrong extension fails the hom and triangle checks."""
-    return tuple(target.join_of(set(g(f_values))) for g in L.member_gathers)
+    maximal members is the join over all of them: one gather takes the
+    image of each ideal's first maximal member, and ``target.join`` folds
+    in the images of the others, only for the ideals that have more than
+    one.  A wrong extension fails the hom and triangle checks."""
+    firsts, extras = L.member_gathers
+    out = firsts(f_values)
+    if not extras:
+        return out
+    out, join = list(out), target.join
+    for i, others in extras:
+        v = out[i]
+        for w in others(f_values):
+            v = join[v][w]
+        out[i] = v
+    return tuple(out)
 
 
 def check_universal_property(

@@ -251,10 +251,15 @@ def check_product_of_generators(A: Source, S: Members, T: Members) -> bool:
     Every closure is read through the analysis, and so is ``<<S><T>>``,
     kept per pair of closed masks: a run over many pairs closes each
     distinct subset once and multiplies each distinct pair of ideals once.
+    Two int masks, as the report's samples are, are checked against the
+    carrier in one test; anything else goes through ``as_mask``.
     """
     an = analysis(A)
     A, close, kept = an.owner, an.close, an._built
-    s_mask, t_mask = as_mask(A, S), as_mask(A, T)
+    if type(S) is int and type(T) is int and 0 <= S | T <= A.full_mask:
+        s_mask, t_mask = S, T  # two masks inside the carrier, checked at once
+    else:
+        s_mask, t_mask = as_mask(A, S), as_mask(A, T)
     key = ("product", close(s_mask), close(t_mask))
     if key not in kept:
         kept[key] = close(_products(A, key[1], key[2]))
@@ -280,14 +285,21 @@ class IdealLattice(Record):
         return {I.mask: i for i, I in enumerate(self.ideals)}
 
     @cached_property
-    def member_gathers(self) -> tuple[Callable[[Sequence], tuple], ...]:
-        """A ``gather`` of each ideal's maximal members (those strictly below
-        no other member), in the order of ``ideals``."""
+    def member_gathers(self) -> tuple[Callable[[Sequence], tuple], tuple]:
+        """Each ideal's maximal members (those strictly below no other
+        member), in the order of ``ideals``: one ``gather`` of every ideal's
+        first maximal member, and ``(index, gather of the others)`` for each
+        ideal that has more than one."""
         leq, lower = self.owner.leq, self.owner.lower_masks
-        return tuple(
-            gather(x for x in I.members if not leq[x] & ~lower[x] & I.mask)
-            for I in self.ideals
-        )
+        firsts, extras = [], []
+        for i, I in enumerate(self.ideals):
+            first, *others = (
+                x for x in I.members if not leq[x] & ~lower[x] & I.mask
+            )
+            firsts.append(first)
+            if others:
+                extras.append((i, gather(others)))
+        return gather(firsts), tuple(extras)
 
     def index_of(self, mask: int) -> int:
         """The index of an ideal the library computed; a miss is a fault."""

@@ -83,16 +83,13 @@ def radical_closure(A: Source, I: Ideal) -> Ideal:
 def enumerate_radical_ideals(A: Source) -> IdealLattice:
     """Filter the ideal quantale down to its radical ideals and verify the
     frame laws exhaustively.  The least radical ideal is checked to be the
-    radical of the zero ideal, the closure of the empty set."""
+    radical of the zero ideal, the closure of the empty set.  Every join is
+    compared with the radical closure of the union, read through the
+    analysis (``Analysis.radical``), so each distinct union is closed once."""
     an = analysis(A)
     A, iq = an.owner, an.ideals
     masks = [I.mask for I in iq.ideals if is_radical(A, I.mask)]
-    rad = ideal_lattice(
-        A,
-        "radicals",
-        masks,
-        lambda m: radical_closure(an, Ideal(A, an.close(m))).mask,
-    )
+    rad = ideal_lattice(A, "radicals", masks, an.radical)
     if not rad.lattice.is_distributive:
         raise InternalMismatch(f"radical ideals of {A.name} do not form a frame")
     return rad

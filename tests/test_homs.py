@@ -21,6 +21,8 @@ from osr.morphisms import enumerate_subadditive
 from osr.radicals import small_distributive_lattices
 from osr.report import CHECK_NAMES, quantale_targets, run_checks
 
+from .test_preorders import glued_truncnat3, indiscrete_z2
+
 
 def all_homs_bruteforce(L, Q):
     out = []
@@ -179,16 +181,27 @@ def test_is_quantale_hom_sees_one_wrong_table_entry():
 
 
 def test_join_extension_matches_the_member_fold():
-    A = osr.build_chain_lattice(9)
-    grid = osr.downset_frame(3, [(0, 1)], name="grid2x3")
-    morphisms = enumerate_subadditive(A, grid.semiring)
-    assert morphisms
-    for L in (enumerate_ideals(A), osr.enumerate_radical_ideals(A)):
-        for f in morphisms:
-            fold = tuple(
-                grid.join_of(f.values[x] for x in I.members) for I in L.ideals
-            )
-            assert join_extension(L, grid, f.values) == fold
+    # the fold over every member, from bottom, is the reference; on zmod:12
+    # (discrete) and the two preorders some ideals have several maximal
+    # members, whose images the extension joins into the first one's
+    for A, several in (
+        (osr.build_chain_lattice(9), False),
+        (osr.build_zmod(12), True),
+        (indiscrete_z2(), True),
+        (glued_truncnat3(), True),
+    ):
+        checked = 0
+        for L in (enumerate_ideals(A), osr.enumerate_radical_ideals(A)):
+            for target in small_distributive_lattices():
+                for f in enumerate_subadditive(A, target.semiring):
+                    fold = tuple(
+                        target.join_of(f.values[x] for x in I.members)
+                        for I in L.ideals
+                    )
+                    assert join_extension(L, target, f.values) == fold
+                    checked += 1
+        assert checked > 0
+        assert bool(enumerate_ideals(A).member_gathers[1]) == several, A.name
 
 
 def test_is_quantale_hom_matches_the_pair_walk_on_the_ideals_of_chain24():
