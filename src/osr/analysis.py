@@ -13,8 +13,9 @@ everything again.  The only things kept per process are the fixed stock of
 target lattices, their semirings and ``two()``, and the report's subset
 samples, none of which depends on any instance.  The constructors live
 in modules that build on this one, so each is imported when first used;
-``ideals`` and ``radicals``, whose closures an analysis runs, are imported
-once, at the end of this module.
+``ideals`` and ``radicals``, whose closures an analysis runs, and
+``morphisms`` and ``homs``, whose searches and checks each universality
+runs, are imported once, at the end of this module.
 """
 
 from __future__ import annotations
@@ -88,19 +89,17 @@ class Analysis:
         bijection.  Both kinds compare against one list of subadditive
         morphisms into ``target.semiring``, searched once per
         ``strict_zero``."""
-        from .homs import check_universal_property
-        from .morphisms import enumerate_subadditive
 
         def check():
             L = getattr(self, kind)
             arrow = self.principal if kind == "ideals" else self.radical_principal
             B = target.semiring
-            morphisms = _kept(
+            found = _kept(
                 self,
                 (B, strict_zero),
-                lambda: enumerate_subadditive(self.owner, B, strict_zero),
+                lambda: morphisms.enumerate_subadditive(self.owner, B, strict_zero),
             )
-            return check_universal_property(L, arrow, target, morphisms)
+            return homs.check_universal_property(L, arrow, target, found)
 
         return _kept(self, (kind, target, strict_zero), check)
 
@@ -184,6 +183,8 @@ def analysis(A: Source) -> Analysis:
 
 
 # last: ideals and radicals build on this module; ``close`` reads
-# ``ideals._close`` and ``radical`` ``radicals.radical_closure`` when they
-# run, so a rebound function is the one called
-from . import ideals, radicals  # noqa: E402
+# ``ideals._close``, ``radical`` ``radicals.radical_closure`` and
+# ``universality`` the search and check of ``morphisms`` and ``homs`` when
+# they run, so a rebound function is the one called, and no call pays for
+# an import statement
+from . import homs, ideals, morphisms, radicals  # noqa: E402

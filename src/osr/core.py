@@ -83,8 +83,12 @@ class Record:
             return NotImplemented
         return other is self or self._values == other._values
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:  # frozen, so hashed once, tables and all
         return hash(self._values)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: {name!r}")
@@ -749,6 +753,20 @@ def lattice_from_order(
         if unit is None:
             raise NotAQuantale("multiplication given without a unit")
         mul = tuple(map(tuple, mul))
+        if not 0 <= unit < n or len(mul) != n or any(len(row) != n for row in mul):
+            raise NotAQuantale("multiplication table or unit does not fit the lattice")
+        # the row laws below index through every entry: one outside the
+        # lattice is refused before the first of them, after row 0's unit
+        # and bottom laws, which read no entry as an index
+        outside = next(
+            (
+                f"multiplication leaves the lattice at {labels[x]},{labels[y]}"
+                for x, row in enumerate(mul)
+                for y, v in enumerate(row)
+                if not 0 <= v < n
+            ),
+            None,
+        )
         columns = tuple(zip(*mul))
         # the loop order of the laws: per x the unit, bottom, then per y
         # commutativity and per z associativity before distribution; the
@@ -760,6 +778,8 @@ def lattice_from_order(
                 raise NotAQuantale(f"unit law fails at {labels[x]}")
             if row[bottom] != bottom:
                 raise NotAQuantale(f"bottom not absorbing at {labels[x]}")
+            if outside:
+                raise NotAQuantale(outside)
             assoc, dist = next(assoc_rows), next(dist_rows)
             failures = []  # (y * n + z, rank at that (y, z), message)
             if row != columns[x]:

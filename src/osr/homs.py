@@ -55,7 +55,8 @@ def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, values) -> bool:
     if values[L.unit] != Q.unit:
         return False
     (join, mul), (join_rows, mul_rows) = L.flat, Q.rows
-    vbytes, lane, g = bytes(values), lane_table(values), gather(values)
+    vbytes, g = bytes(values), gather(values)
+    lane = lane_table(vbytes)
     joins = b"".join(map(vbytes.translate, g(join_rows)))
     prods = b"".join(map(vbytes.translate, g(mul_rows)))
     return join.translate(lane) == joins and mul.translate(lane) == prods

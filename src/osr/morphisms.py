@@ -102,26 +102,29 @@ def classify(
             f"value array of length {len(values)} does not map {A.name} into {B.name}"
         )
     (add, mul, low, high), (add_rows, mul_rows) = A.flat, B.rows
-    vbytes, lane, g = bytes(values), lane_table(values), gather(values)
+    vbytes, g = bytes(values), gather(values)
+    lane = lane_table(vbytes)
     sums, prods = add.translate(lane), mul.translate(lane)
     target_sums = b"".join(map(vbytes.translate, g(add_rows)))
     target_prods = b"".join(map(vbytes.translate, g(mul_rows)))
     additive, multiplicative = sums == target_sums, prods == target_prods
-    below = B.all_le
+    below, leq = B.all_le, B.leq
     f0, f1 = values[A.zero], values[A.one]
+    # positional, in field order: keyword arguments more than double the cost
+    # of building the record
     return MorphismTable(
-        source=A,
-        target=B,
-        values=values,
-        monotone=below(low.translate(lane), high.translate(lane)),
-        zero_subzero=B.le(f0, B.zero),
-        zero_strict=f0 == B.zero,
-        unit_strict=f1 == B.one,
-        unit_subunit=B.le(f1, B.one),
-        subadditive=additive or below(sums, target_sums),
-        additive=additive,
-        multiplicative=multiplicative,
-        submultiplicative=multiplicative or below(prods, target_prods),
+        A,
+        B,
+        values,
+        below(low.translate(lane), high.translate(lane)),  # monotone
+        leq[f0] >> B.zero & 1 == 1,  # zero_subzero
+        f0 == B.zero,  # zero_strict
+        f1 == B.one,  # unit_strict
+        leq[f1] >> B.one & 1 == 1,  # unit_subunit
+        additive or below(sums, target_sums),  # subadditive
+        additive,
+        multiplicative,
+        multiplicative or below(prods, target_prods),  # submultiplicative
     )
 
 

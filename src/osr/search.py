@@ -29,12 +29,20 @@ and a table that allows every value is dropped.
 The constraints depend on the source alone, up to the tables they look up.
 A ``SearchSource`` holds the source's order pairs and, for each of its law
 tables, every instance with its shape, grouped by shape; it lives as long
-as the source semiring or lattice (its ``search_source``).  A search then
-only looks up one support table per shape.
+as the source semiring or lattice (its ``search_source``).
+
+A search binds its constraints in one pass: it looks up one support table
+per shape and posts each group of instances straight into the per-variable
+lists of the variables they narrow, merging equal constraints on the same
+variables.  Its walk is a loop over one mask of untried values per
+variable, not a recursion: its depth is the number of variables, whatever
+the interpreter's recursion limit, and since no closure refers to itself,
+a search leaves no reference cycle for the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Optional, Sequence, Union
 
 from .core import Table, bits, lower_masks
@@ -55,52 +63,54 @@ Shape = tuple[int, int, int]
 Support = Union[int, tuple]  # a mask, or masks indexed by one or two values
 
 
-def _shape(s: int, x: int, y: int) -> tuple[Shape, int, tuple[int, ...]]:
-    """Shape, narrowed variable and indexing variables of the instance
-    ``f(s) R T[f(x)][f(y)]``, where ``x <= y``."""
+def _shape(s: int, x: int, y: int) -> tuple[Shape, tuple[int, ...]]:
+    """Shape of the instance ``f(s) R T[f(x)][f(y)]``, where ``x <= y``, and
+    the instance as its narrowed variable followed by its indexing
+    variables."""
     if x == y:
         if s > x:
-            return (NEW, 0, 0), s, (x,)
+            return (NEW, 0, 0), (s, x)
         if s == x:
-            return FIXED, x, ()
-        return (0, NEW, NEW), x, (s,)
+            return FIXED, (x,)
+        return (0, NEW, NEW), (x, s)
     if s > y:
-        return (NEW, 0, 1), s, (x, y)
+        return (NEW, 0, 1), (s, x, y)
     if s == y:
-        return (NEW, 0, NEW), y, (x,)
+        return (NEW, 0, NEW), (y, x)
     if s > x:
-        return (1, 0, NEW), y, (x, s)
+        return (1, 0, NEW), (y, x, s)
     if s == x:
-        return (0, 0, NEW), y, (x,)
-    return (0, 1, NEW), y, (s, x)
+        return (0, 0, NEW), (y, x)
+    return (0, 1, NEW), (y, s, x)
 
 
 class SearchSource(dict):
     """The source side of every search out of one poset: its order pairs
     and, for each law table ``S`` (a key, grouped on first lookup), the
-    instances ``f(S[x][y]) R T[f(x)][f(y)]`` for all ``x <= y`` as
-    ``(narrowed variable, indexing variables)``, grouped by shape.
+    instances ``f(S[x][y]) R T[f(x)][f(y)]`` for all ``x <= y``, each as
+    its narrowed variable followed by its indexing variables, grouped by
+    shape.
 
-    ``ups`` holds each order pair ``i <= j`` with ``i < j`` as
-    ``(j, (i,))``, narrowing ``f(j)`` to the values above ``f(i)``;
-    ``downs`` each one with ``j < i`` as ``(i, (j,))``, narrowing ``f(i)``
-    to those below ``f(j)``.
+    ``ups`` holds each order pair ``i <= j`` with ``i < j`` as ``(j, i)``,
+    narrowing ``f(j)`` to the values above ``f(i)``; ``downs`` each one
+    with ``j < i`` as ``(i, j)``, narrowing ``f(i)`` to those below
+    ``f(j)``.
     """
 
     def __init__(self, order: Sequence[int]) -> None:
         super().__init__()
         self.n = len(order)
         pairs = [(i, j) for i in range(self.n) for j in bits(order[i]) if i != j]
-        self.ups = tuple((j, (i,)) for i, j in pairs if i < j)
-        self.downs = tuple((i, (j,)) for i, j in pairs if j < i)
+        self.ups = tuple((j, i) for i, j in pairs if i < j)
+        self.downs = tuple((i, j) for i, j in pairs if j < i)
 
     def __missing__(self, S: Table) -> dict[Shape, list]:
         groups: dict[Shape, list] = {}
         for x in range(self.n):
             row = S[x]
             for y in range(x, self.n):
-                shape, k, index = _shape(row[y], x, y)
-                groups.setdefault(shape, []).append((k, index))
+                shape, instance = _shape(row[y], x, y)
+                groups.setdefault(shape, []).append(instance)
         self[S] = groups
         return groups
 
@@ -192,6 +202,15 @@ def forward_search(
     naming ``layer`` once more than ``NODE_BUDGET`` nodes (values that pass
     every constraint) are needed.
 
+    Binding is one pass: pins and single-variable tables narrow the
+    domains, and every other constraint is posted straight into the list
+    of its narrowed variable, once per (variable, table, indexing
+    variables), so that equal constraints merge.  The walk is a loop over
+    one mask of untried values per variable, not a recursion, so its depth
+    is not bounded by the interpreter's stack, and no closure refers to
+    itself: a search leaves no reference cycle behind.  ``leaf`` is called
+    once with ``()`` when the source is empty.
+
     A table that is not commutative can only lose constraints: every
     solution is still found, and each extra leaf fails the callers'
     exhaustive re-check (``classify``, ``is_quantale_hom``) as
@@ -201,43 +220,43 @@ def forward_search(
     domain = [target.full] * n
     for var, value, equal in pins:
         domain[var] &= (1 << value) if equal else target.below[value]
-    # (narrowed variable, table id, indexing variables) -> table, so that
-    # equal constraints on the same variables merge
-    narrow: dict[tuple, tuple] = {}
-    for table, pairs in ((target.up, source.ups), (target.down, source.downs)):
+    # by table id, the table and the instance groups that look it up; equal
+    # tables are one object, so equal constraints are posted once
+    posts: dict[int, list] = {}
+    for table, instances in ((target.up, source.ups), (target.down, source.downs)):
         if table is not None:
-            for k, index in pairs:
-                narrow[k, id(table), index] = table
+            posts.setdefault(id(table), [table]).append(instances)
     for S, T, equal in laws:
         tables = target.supports(T, equal)
         for shape, instances in source[S].items():
             table = tables[shape]
             if shape == FIXED:
-                for k, _ in instances:
+                for (k,) in instances:
                     domain[k] &= table
             elif table is not None:
-                key = id(table)
-                for k, index in instances:
-                    narrow[k, key, index] = table
+                posts.setdefault(id(table), [table]).append(instances)
     unary: list[list] = [[] for _ in range(n)]
     binary: list[list] = [[] for _ in range(n)]
-    for (k, _, index), table in narrow.items():
-        (binary if len(index) == 2 else unary)[k].append((table, *index))
+    for table, *groups in posts.values():
+        # no group repeats an instance, so only a shared table merges
+        merged = groups[0] if len(groups) == 1 else dict.fromkeys(chain(*groups))
+        if isinstance(table[0], int):
+            for k, p in merged:
+                unary[k].append((table, p))
+        else:
+            for k, p, q in merged:
+                binary[k].append((table, p, q))
+    if n == 0:
+        leaf(())
+        return
 
-    values = [0] * n
-    nodes = 0
-
-    def assign(k: int) -> None:
-        nonlocal nodes
-        if k == n:
-            leaf(tuple(values))
-            return
-        mask = domain[k]
-        for table, p in unary[k]:
-            mask &= table[values[p]]
-        for table, p, q in binary[k]:
-            mask &= table[values[p]][values[q]]
-        while mask:
+    # untried[k] holds the values of variable k not yet tried under the
+    # values of the variables before it; ``mask`` is untried[k] while k is
+    # the variable being assigned
+    values, untried = [0] * n, [0] * n
+    nodes, k, last, mask = 0, 0, n - 1, domain[0]
+    while True:
+        if mask:
             low = mask & -mask
             mask ^= low
             nodes += 1
@@ -247,6 +266,18 @@ def forward_search(
                     f"({nodes} nodes visited)"
                 )
             values[k] = low.bit_length() - 1
-            assign(k + 1)
-
-    assign(0)
+            if k == last:
+                leaf(tuple(values))
+                continue
+            untried[k] = mask
+            k += 1
+            mask = domain[k]
+            for table, p in unary[k]:
+                mask &= table[values[p]]
+            for table, p, q in binary[k]:
+                mask &= table[values[p]][values[q]]
+        elif k:
+            k -= 1
+            mask = untried[k]
+        else:
+            return

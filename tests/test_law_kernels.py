@@ -287,6 +287,24 @@ def test_axiom_failures_match_the_loops_on_every_single_cell_corruption():
     assert {"add-associative", "mul-associative", "distributive"} <= failing
 
 
+def test_axiom_failures_match_the_loops_on_every_single_order_change():
+    # one pair added to or removed from the order, so most of these
+    # relations are not preorders: the order and monotonicity checks must
+    # read raw bits and still name the loops' first witness
+    failing, preorders = set(), 0
+    for A in small_semirings():
+        for i, j in product(range(A.n), repeat=2):
+            leq = list(A.leq)
+            leq[i] ^= 1 << j
+            B = A._replace(leq=tuple(leq))
+            got = tuple(_axiom_failures(B))
+            assert got == tuple(axiom_failures_by_loops(B)), (A.name, i, j)
+            failing.update(name for name, _ in got)
+            preorders += not {"le-reflexive", "le-transitive"} & {name for name, _ in got}
+    assert {"le-reflexive", "le-transitive", "add-monotone", "mul-monotone"} <= failing
+    assert preorders > 0
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_axiom_failures_match_the_loops_on_random_corruptions(n):
     rng = random.Random(2100 + n)
@@ -392,6 +410,30 @@ def test_lattice_from_order_quantale_checks_match_the_loops():
     args = ("ab", (0b11, 0b10), ((1, 0), (0, 5)), 1)
     assert outcome(lattice_from_order, *args) == outcome(lattice_by_loops, *args)
     assert outcome(lattice_from_order, *args)[1] == "bottom not absorbing at a"
+
+
+def test_lattice_from_order_refuses_a_product_outside_the_lattice():
+    # the 3-chain a < b < c with meet as its multiplication and c as unit
+    L = lattice_from_order("abc", (0b111, 0b110, 0b100))
+    cases = {
+        ((0, 1, 2), (2, 2, 7)): "multiplication leaves the lattice at c,c",
+        ((1, 1, 9),): "multiplication leaves the lattice at b,b",
+        ((1, 1, -1),): "multiplication leaves the lattice at b,b",
+    }
+    for cells, message in cases.items():
+        mul = L.meet
+        for i, j, v in cells:
+            mul = with_cell(mul, i, j, v)
+        assert outcome(lattice_from_order, L.labels, L.leq, mul, L.top) == (
+            NotAQuantale,
+            message,
+        )
+    misfits = [(L.meet, 3), (L.meet, -1), (L.meet[:2], 2), (L.meet[:2] + ((0, 1),), 2)]
+    for mul, unit in misfits:
+        assert outcome(lattice_from_order, L.labels, L.leq, mul, unit) == (
+            NotAQuantale,
+            "multiplication table or unit does not fit the lattice",
+        )
 
 
 def test_lattice_from_order_names_the_missing_bound():

@@ -128,6 +128,28 @@ def test_timings_hold_each_phase_then_each_verdict():
     assert json.loads(report.to_json())["timings"] == {}
 
 
+def test_to_json_writes_what_json_dumps_with_an_indent_writes():
+    def by_json(report):
+        payload = {
+            "name": report.name,
+            "counts": report.counts,
+            "verdicts": [
+                {"check": v.check, "pass": v.passed}
+                | ({"witness": v.witness} if v.witness is not None else {})
+                for v in report.verdicts
+            ],
+            "timings": {},
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    reports = [run_checks(from_builder_spec(s)) for s in ("zmod:6", "bool:3")]
+    odd = osr.report.CheckReport('a "b"\\ ≤', {"elements": 2, "ideals": None}, {})
+    odd.verdicts += [Verdict("x", True), Verdict("y", False, 'at "a" ≤ b\n\tc')]
+    reports += [odd, osr.report.CheckReport("empty", {}, {})]
+    for report in reports:
+        assert report.to_json() == by_json(report)
+
+
 # each function run_checks calls through osr.report, and the verdict it owns
 VERDICT_OF = {
     "check_quantale_universality": "idl-universality",

@@ -2,6 +2,7 @@
 cross-check, and the carrier sizes it makes reachable."""
 
 import ast
+import gc
 import inspect
 import random
 from itertools import product
@@ -217,6 +218,30 @@ def test_a_table_that_is_not_commutative_fails_the_leaf_check():
     assert set(upper) - set(full) == {(0, 1, 1)}
     with pytest.raises(InternalMismatch, match=r"map \[0, 1, 1\] from noncomm"):
         osr.enumerate_subadditive(A, B)
+
+
+def test_a_search_deeper_than_the_recursion_limit():
+    # 1,500 unordered variables into a one-element target: one solution,
+    # reached through 1,500 levels of the walk
+    out = []
+    source = SearchSource([1 << i for i in range(1500)])
+    forward_search(source, SearchTarget([1]), (), (), out.append, layer="deep")
+    assert out == [(0,) * 1500]
+
+
+def test_run_checks_leaves_no_cyclic_garbage():
+    # every search, leaf and cache entry is freed by reference counting
+    instances = [osr.from_builder_spec(s) for s in ("zmod:6", "chain:9", "bool:3")]
+    for A in instances:
+        run_checks(A)
+    gc.collect()
+    gc.disable()
+    try:
+        for A in instances:
+            run_checks(A)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _consistent_prefixes(A, B):
