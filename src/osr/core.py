@@ -316,6 +316,15 @@ class FiniteOrderedSemiring(Record):
         return tuple(out)
 
     @cached_property
+    def full_generators(self) -> int:
+        """Bitmask of the elements ``x`` whose principal ideal is the whole
+        carrier, ``multiples[x] == full_mask``: a unit of a ring, the top of
+        a lattice.  It contains ``one``, since ``multiples[one]`` is the
+        carrier."""
+        full = self.full_mask
+        return sum(1 << x for x, mask in enumerate(self.multiples) if mask == full)
+
+    @cached_property
     def powers(self) -> tuple[int, ...]:
         """``powers[x]`` = bitmask of the positive powers ``x, x*x, ...``.
 

@@ -3,14 +3,18 @@
 An ideal is a downward-closed subset that contains zero, is closed under
 addition, and absorbs multiplication.  Generated ideals are computed by a
 one-pass worklist closure (``_close``) that handles each element of the
-result at most once and each pair of elements at most once, and stops
-once the result is the whole carrier.  Its sums and the products of two
-subsets (``_products``) are read four columns at a time from the
+result at most once and each pair of elements at most once.  The ideal
+quantale is integral, its unit the whole carrier, so an ideal holding an
+element whose principal ideal is the carrier is the carrier: the closure
+returns the carrier as soon as its mask meets the semiring's
+``full_generators``, on entry or mid-walk.  Its sums and the products of
+two subsets (``_products``) are read four columns at a time from the
 semiring's ``slice_images``, which hold the image of every subset of each
 four-element slice under each row of ``add`` and ``mul`` (the Method of
 Four Russians).  The explicit bounded-sum formula is kept alongside as an
-independent oracle that, like ``is_ideal``, reads only the raw tables, and
-the two are compared by the verification suite.
+independent oracle that, like ``is_ideal``, reads only the raw tables,
+never ``full_generators`` or the slices, and the two are compared by
+the verification suite.
 
 Ideal identity is by member bitmask; within one IdealLattice the ideals
 are interned in canonical order (by size, then bitmask) and all tables are
@@ -116,12 +120,20 @@ def _close(A: FiniteOrderedSemiring, mask: int) -> int:
     mask is dropped from the worklist instead: by monotonicity everything
     it would add lies below something the larger element adds.  "Strictly"
     keeps two elements that are each below the other (a preorder) from
-    dropping each other.  The walk stops once the mask is the whole
-    carrier, an ideal that nothing can grow.
+    dropping each other.
+
+    The ideal is the whole carrier as soon as the mask meets
+    ``A.full_generators``, the elements whose principal ideal is the
+    carrier (the unit-ideal criterion, read through the order), so the
+    mask is tested against them on entry and after each element is taken.
+    A full mask holds ``one``, so the same test ends every walk that
+    reaches the carrier.
     """
-    images, leq, lower, multiples = A.slice_images[0], A.leq, A.lower_masks, A.multiples
-    full = A.full_mask
+    full, generators = A.full_mask, A.full_generators
     mask |= 1 << A.zero
+    if mask & generators:
+        return full
+    images, leq, lower, multiples = A.slice_images[0], A.leq, A.lower_masks, A.multiples
     taken = seen = 0
     todo = mask
     while todo:
@@ -136,8 +148,8 @@ def _close(A: FiniteOrderedSemiring, mask: int) -> int:
                 mask |= row[k | rest & 15]
                 rest >>= 4
                 k += 16
-            if mask == full:
-                break
+            if mask & generators:
+                return full
         todo = mask & ~seen
     return mask
 

@@ -181,6 +181,17 @@ def render(desc: RawSemiringDescription) -> str:
 
 
 def parse_file(path: str) -> RawSemiringDescription:
-    """Parse the ``.osr`` document stored at ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Parse the ``.osr`` document stored at ``path``; a byte that is not
+    UTF-8 is a ParseError at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # everything before the bad byte decodes; a sentinel character
+        # stands in for it, so the last line found is the byte's own line
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            len(lines), len(lines[-1]), f"not UTF-8: byte {data[exc.start]:#04x}"
+        ) from None
+    return parse(text)

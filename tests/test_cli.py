@@ -58,6 +58,22 @@ def test_corrupted_file_exits_2_with_location(tmp_path, capsys):
     assert "line" in err and "add table row" in err
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"\xff\xfe\x00", "line 1, column 1:"),
+        (b"name: ok\nab\xc3\xa9\xffcd\n", "line 2, column 4:"),
+    ],
+    ids=["first-byte", "line-2"],
+)
+def test_undecodable_file_exits_2_with_location(tmp_path, capsys, data, where):
+    bad = tmp_path / "binary.osr"
+    bad.write_bytes(data)
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert err.startswith(f"error: {where} not UTF-8"), err
+
+
 def test_axiom_violation_exits_2_with_witness(tmp_path, capsys):
     text = """\
 name: signed

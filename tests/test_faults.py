@@ -8,6 +8,7 @@ import pytest
 import osr
 import osr.homs
 import osr.spectrum
+from osr.core import FiniteOrderedSemiring
 from osr.report import run_checks
 
 # the real functions, taken before any row replaces them
@@ -59,6 +60,22 @@ def test_fault_fails_its_verdicts_without_aborting(
     report = run_checks(A)  # an exception here is an aborted report
     failed = {v.check for v in report.verdicts if not v.passed}
     assert must_fail <= failed, failed
+
+
+@pytest.mark.parametrize("spec", ["zmod:6", "chain:4", "zmod:12"])
+def test_wrong_full_generators_fail_verdicts_without_aborting(monkeypatch, spec):
+    # zero in the table makes every closure the whole carrier, so the ideal
+    # quantale collapses; the checking routes read the raw tables and see it
+    real = FiniteOrderedSemiring.full_generators.func
+    A = osr.from_builder_spec(spec)
+    monkeypatch.setattr(
+        FiniteOrderedSemiring,
+        "full_generators",
+        property(lambda S: real(S) | 1 << S.zero),
+    )
+    report = run_checks(A)  # an exception here is an aborted report
+    failed = {v.check for v in report.verdicts if not v.passed}
+    assert {"idl-quantale-axioms", "generated-ideal-oracle"} <= failed, failed
 
 
 @pytest.mark.parametrize("spec", ["zmod:6", "chain:9", "bool:3"])

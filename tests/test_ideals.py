@@ -178,6 +178,7 @@ def test_generated_matches_intersection_oracle(family8):
     for A in [*family8, indiscrete_z2(), glued_truncnat3(), *sliced]:
         ideals = all_ideals(A)
         full = (1 << A.n) - 1
+        generators = 0
         for seed in range(1 << A.n):
             expected = full
             for mask in ideals:
@@ -185,6 +186,11 @@ def test_generated_matches_intersection_oracle(family8):
                     expected &= mask
             assert generated_ideal(A, seed).mask == expected
             assert generated_ideal_by_sums(A, seed) == expected
+            if seed and not seed & seed - 1 and expected == full:  # one element
+                generators |= seed
+        # the elements whose principal ideal, by the oracle, is the carrier
+        assert A.full_generators == generators
+        assert A.full_generators >> A.one & 1
 
 
 @pytest.mark.parametrize("spec", ["chain:24", "zmod:24", "truncnat:23", "zmod:23"])
