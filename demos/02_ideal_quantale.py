@@ -44,7 +44,7 @@ print("maps = homs:", check_quantale_universality(z6, osr.chain_frame(2)))
 # The correspondence is concrete: the join extension of a morphism.
 z4 = osr.build_zmod(4)
 iq4 = enumerate_ideals(z4)
-f = classify(z4, osr.build_from_quantale(osr.chain_frame(2)), (0, 1, 0, 1))
+f = classify(z4, osr.build_from_quantale(osr.chain_frame(2)), [(0, 1, 0, 1)])[0]
 g = extend_to_quantale_hom(f, osr.chain_frame(2), iq4)
 for i, I in enumerate(iq4.ideals):
     print(f"  {I.label} |-> {g[i]}")

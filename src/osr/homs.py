@@ -12,54 +12,68 @@ subadditive morphisms to compare against, which the caller enumerates.
 Enumeration runs the same forward-checking engine as the morphism search
 (``search.forward_search``) over every element of the source, each
 preservation law narrowing the values of the last element it mentions.
-Each map it finds is re-checked exhaustively by ``is_quantale_hom``, which
-compares the two sides of each law as byte strings of whole tables, as
-``morphisms.classify`` does.
+The maps it finds are re-checked exhaustively by one call of
+``is_quantale_hom``, which compares the two sides of each law as byte
+strings over every map of a batch, as ``morphisms.classify`` does.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import FiniteLattice, gather, lane_table
+from .core import (
+    FiniteLattice,
+    each_equal,
+    gather,
+    pair_codes,
+    value_batches,
+)
 from .errors import (
-    EndpointMismatch,
     InternalMismatch,
     NotAQuantale,
     UniversalityFailure,
 )
-from .morphisms import MorphismTable
-from .search import forward_search
+from .morphisms import MorphismTable, checked_search
 
 if TYPE_CHECKING:
     from .ideals import IdealLattice
 
 
-def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, values) -> bool:
-    """Exhaustive check: preserves binary joins, bottom, unit, and product.
+def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, maps) -> list[bool]:
+    """Exhaustive check of each value array of ``maps``, in order: whether
+    it preserves binary joins, bottom, unit, and product.
 
-    Every pair is compared, one byte string per side of each law and one
-    comparison: the images of L's joins (products) under the map's
-    ``lane_table`` against Q's joins (products) of images, one
-    ``translate`` of the values per row of ``Q.rows``.  A value array that
-    is not a map from L into Q raises EndpointMismatch."""
-    values = tuple(values)
-    if len(values) != L.n or min(values) < 0 or max(values) >= Q.n:
-        raise EndpointMismatch(
-            f"value array of length {len(values)} does not map {L.name} into {Q.name}"
-        )
-    if values[L.bottom] != Q.bottom:
-        return False
+    Every pair of every map of a batch is compared, one byte string per
+    side of each law and one comparison for the batch, map by map only
+    where it fails: the images of L's joins (products) under the batch's
+    lane against Q's joins (products) looked up at the images' pair codes,
+    and the images of bottom and unit against Q's.  Raises NotAQuantale if either lattice
+    lacks a multiplication, whatever the maps, and EndpointMismatch for a
+    value array that is not a map from L into Q.  With no maps, no table is
+    read or built."""
     if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
         raise NotAQuantale("both lattices must carry a multiplication")
-    if values[L.unit] != Q.unit:
-        return False
-    (join, mul), (join_rows, mul_rows) = L.flat, Q.rows
-    vbytes, g = bytes(values), gather(values)
-    lane = lane_table(vbytes)
-    joins = b"".join(map(vbytes.translate, g(join_rows)))
-    prods = b"".join(map(vbytes.translate, g(mul_rows)))
-    return join.translate(lane) == joins and mul.translate(lane) == prods
+    if not maps:
+        return []
+    sides, (join_codes, mul_codes) = L.flat, Q.codes
+    size, ends = L.n * L.n, bytes((Q.bottom, Q.unit))
+    out: list[bool] = []
+    for batch, lane in value_batches(L, Q, maps):
+        count = len(batch)
+        end = count * size
+        join, mul, bottom_unit, xs, ys = sides[count]
+        at = pair_codes(xs[:end].translate(lane), ys[:end].translate(lane), Q.n)
+        lefts = (
+            bottom_unit[: 2 * count].translate(lane),
+            join[:end].translate(lane),
+            mul[:end].translate(lane),
+        )
+        rights = (ends * count, at.translate(join_codes), at.translate(mul_codes))
+        if lefts == rights:
+            out += [True] * count
+        else:
+            out += map(all, zip(*map(each_equal, lefts, rights, (2, size, size))))
+    return out
 
 
 def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[tuple[int, ...]]:
@@ -68,30 +82,30 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[tuple[in
 
     Runs the forward-checking engine into ``Q.semiring`` over L, with
     bottom and unit pinned, monotonicity, and preservation of binary joins
-    and products as constraints.  Every value table it finds is re-verified
-    by ``is_quantale_hom``; one that fails raises InternalMismatch.
+    and products as constraints.  The value tables it finds are re-verified
+    by one call of ``is_quantale_hom``; the first that fails raises
+    InternalMismatch.
     """
     if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
         raise NotAQuantale("both lattices must carry a multiplication")
-    out: list[tuple[int, ...]] = []
 
-    def leaf(values) -> None:
-        if not is_quantale_hom(L, Q, values):
-            raise InternalMismatch(
-                f"map {list(values)} from {L.name} to {Q.name} passed forward "
-                f"checking but is not a quantale homomorphism"
-            )
-        out.append(values)
+    def recheck(found: list) -> list[tuple[int, ...]]:
+        for values, ok in zip(found, is_quantale_hom(L, Q, found)):
+            if not ok:
+                raise InternalMismatch(
+                    f"map {list(values)} from {L.name} to {Q.name} passed forward "
+                    f"checking but is not a quantale homomorphism"
+                )
+        return found
 
-    forward_search(
+    return checked_search(
+        recheck,
         L.search_source,
         Q.semiring.search_target,
         ((L.bottom, Q.bottom, True), (L.unit, Q.unit, True)),
         ((L.join, Q.join, True), (L.mul, Q.mul, True)),
-        leaf,
         layer=f"hom search {L.name} -> {Q.name}",
     )
-    return out
 
 
 def join_extension(

@@ -406,7 +406,7 @@ def canonical_embedding(A: Source) -> MorphismTable:
     """
     an = analysis(A)
     A, iq, values = an.owner, an.ideals, an.principal
-    table = classify(A, iq.lattice.semiring, values)
+    table = classify(A, iq.lattice.semiring, [values])[0]
     if not table.is_subadditive_morphism:
         raise InternalMismatch(
             f"principal-ideal map of {A.name} is not a subadditive morphism"
@@ -456,7 +456,7 @@ def _extend(
         )
     A = an.owner
     values = join_extension(iq, Q, f.values)
-    if not is_quantale_hom(iq.lattice, Q, values):
+    if not is_quantale_hom(iq.lattice, Q, [values])[0]:
         raise InternalMismatch(
             f"join extension of {list(f.values)} from {A.name} into {Q.name} is "
             f"not a quantale homomorphism"

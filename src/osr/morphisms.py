@@ -3,10 +3,12 @@
 A subadditive morphism is monotone with f(0) <= 0, f(1) = 1,
 f(x+y) <= f(x)+f(y) and f(xy) = f(x)f(y).  A homomorphism additionally has
 f(0) = 0 and f(x+y) = f(x)+f(y).  Classification flags are always computed
-exhaustively over all element pairs, each law as two byte strings of
-whole tables, one ``bytes.translate`` per side (``core.lane_table``), and
-one comparison.  Enumeration runs the forward-checking engine of ``search``
-and reclassifies every map it finds.
+exhaustively over all element pairs, for a whole list of maps at once:
+each side of each law, over every map of a batch, is one byte string
+(``core.value_batches``, ``core.pair_codes``), and each law is one comparison
+for the batch, read map by map only where it fails.  Enumeration runs the
+forward-checking engine of ``search``, collects every map it finds, and
+reclassifies them all in one call.
 
 The fixed global convention tying morphisms to ideals is f <-> f^{-1}(0):
 a map to the two-element chain classifies the ideal of elements sent to
@@ -17,8 +19,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import FiniteOrderedSemiring, gather, lane_table
-from .errors import EndpointMismatch, InternalMismatch
+from .core import (
+    FiniteOrderedSemiring,
+    each_equal,
+    each_true,
+    each_within,
+    pair_codes,
+    value_batches,
+)
+from .errors import EndpointMismatch, InternalMismatch, SizeLimit
 from .search import forward_search
 
 
@@ -87,45 +96,83 @@ class MorphismTable(NamedTuple):
 
 
 def classify(
-    A: FiniteOrderedSemiring, B: FiniteOrderedSemiring, values
-) -> MorphismTable:
-    """Compute every classification flag for the raw value array.
+    A: FiniteOrderedSemiring, B: FiniteOrderedSemiring, maps
+) -> list[MorphismTable]:
+    """Compute every classification flag of each value array of ``maps``,
+    one table per array, in order.
 
-    Each flag covers every element pair with one byte per pair: the images
-    of ``A.flat`` under the map's ``lane_table`` against B's tables at the
-    images, ``T[f(x)][f(y)]``, one ``translate`` of the values per row of
-    ``B.rows``.  An inequality (``B.all_le``) is only tested where its
-    equation fails, since B's order is reflexive."""
-    values = tuple(values)
-    if len(values) != A.n or min(values) < 0 or max(values) >= B.n:
-        raise EndpointMismatch(
-            f"value array of length {len(values)} does not map {A.name} into {B.name}"
-        )
-    (add, mul, low, high), (add_rows, mul_rows) = A.flat, B.rows
-    vbytes, g = bytes(values), gather(values)
-    lane = lane_table(vbytes)
-    sums, prods = add.translate(lane), mul.translate(lane)
-    target_sums = b"".join(map(vbytes.translate, g(add_rows)))
-    target_prods = b"".join(map(vbytes.translate, g(mul_rows)))
-    additive, multiplicative = sums == target_sums, prods == target_prods
-    below, leq = B.all_le, B.leq
-    f0, f1 = values[A.zero], values[A.one]
-    # positional, in field order: keyword arguments more than double the cost
-    # of building the record
-    return MorphismTable(
-        A,
-        B,
-        values,
-        below(low.translate(lane), high.translate(lane)),  # monotone
-        leq[f0] >> B.zero & 1 == 1,  # zero_subzero
-        f0 == B.zero,  # zero_strict
-        f1 == B.one,  # unit_strict
-        leq[f1] >> B.one & 1 == 1,  # unit_subunit
-        additive or below(sums, target_sums),  # subadditive
-        additive,
-        multiplicative,
-        multiplicative or below(prods, target_prods),  # submultiplicative
-    )
+    Each flag covers every element pair of every map of a batch: the
+    images of ``A.flat`` under the batch's lane against B's tables looked
+    up at the images' pair codes, ``T[f(x)][f(y)]``, one comparison for
+    the batch and map by map only where it fails.  An inequality (a lookup
+    of ``<=``) is only tested where its equation fails, since B's order is
+    reflexive.  A value array that is not a map from A into B
+    raises EndpointMismatch.  With no maps, no table is read or built."""
+    if not maps:
+        return []
+    sides, (add_codes, mul_codes, le_codes) = A.flat, B.codes
+    size, m = A.n * A.n, B.n
+    zero, one, leq = B.zero, B.one, B.leq
+    out: list[MorphismTable] = []
+    for batch, lane in value_batches(A, B, maps):
+        count = len(batch)
+        end = count * size
+        add, mul, xs, ys, order = sides[count]
+        sums, prods = add[:end].translate(lane), mul[:end].translate(lane)
+        at = pair_codes(xs[:end].translate(lane), ys[:end].translate(lane), m)
+        target_sums, target_prods = at.translate(add_codes), at.translate(mul_codes)
+        monotone = each_within(at.translate(le_codes), order[:end], size)
+        if sums == target_sums:
+            additive = subadditive = [True] * count
+        else:
+            additive = each_equal(sums, target_sums, size)
+            below = pair_codes(sums, target_sums, m).translate(le_codes)
+            subadditive = each_true(below, size)
+        if prods == target_prods:
+            multiplicative = submultiplicative = [True] * count
+        else:
+            multiplicative = each_equal(prods, target_prods, size)
+            below = pair_codes(prods, target_prods, m).translate(le_codes)
+            submultiplicative = each_true(below, size)
+        for v, mono, sub, add_, mul_, submul in zip(
+            batch, monotone, subadditive, additive, multiplicative, submultiplicative
+        ):
+            v = tuple(v)
+            f0, f1 = v[A.zero], v[A.one]
+            # positional, in field order: keyword arguments more than double
+            # the cost of building the record
+            out.append(
+                MorphismTable(
+                    A,
+                    B,
+                    v,
+                    mono,
+                    leq[f0] >> zero & 1 == 1,  # zero_subzero
+                    f0 == zero,  # zero_strict
+                    f1 == one,  # unit_strict
+                    leq[f1] >> one & 1 == 1,  # unit_subunit
+                    sub,
+                    add_,
+                    mul_,
+                    submul,
+                )
+            )
+    return out
+
+
+def checked_search(recheck, source, target, pins, laws, *, layer: str) -> list:
+    """``search.forward_search`` collecting every map it finds, then
+    ``recheck`` of the whole list, whose result is returned.  When the walk
+    runs out of its node budget, the maps found so far are re-checked before
+    its SizeLimit is re-raised, so a map failing the re-check is reported as
+    such."""
+    found: list[tuple[int, ...]] = []
+    try:
+        forward_search(source, target, pins, laws, found.append, layer=layer)
+    except SizeLimit:
+        recheck(found)
+        raise
+    return recheck(found)
 
 
 def _search(
@@ -140,30 +187,30 @@ def _search(
 
     Constraints: ``pins`` on the zero/unit positions, monotonicity,
     subadditivity f(x+y) <= f(x)+f(y), and multiplicativity f(xy) = f(x)f(y)
-    (``mul_equal``) or submultiplicativity f(xy) <= f(x)f(y).  Each map
-    found is reclassified exhaustively by ``classify``; one that ``keep``
-    rejects raises InternalMismatch instead of being dropped.
+    (``mul_equal``) or submultiplicativity f(xy) <= f(x)f(y).  The maps
+    found are reclassified exhaustively by one call of ``classify``; if
+    ``keep`` rejects one, the first such raises InternalMismatch instead of
+    being dropped.
     """
-    out: list[MorphismTable] = []
 
-    def leaf(values) -> None:
-        table = classify(A, B, values)
-        if not keep(table):
-            raise InternalMismatch(
-                f"map {list(values)} from {A.name} to {B.name} passed forward "
-                f"checking but fails the exhaustive classification"
-            )
-        out.append(table)
+    def recheck(found: list) -> list[MorphismTable]:
+        tables = classify(A, B, found)
+        for table in tables:
+            if not keep(table):
+                raise InternalMismatch(
+                    f"map {list(table.values)} from {A.name} to {B.name} passed "
+                    f"forward checking but fails the exhaustive classification"
+                )
+        return tables
 
-    forward_search(
+    return checked_search(
+        recheck,
         A.search_source,
         B.search_target,
         pins,
         ((A.add, B.add, False), (A.mul, B.mul, mul_equal)),
-        leaf,
         layer=f"morphism search {A.name} -> {B.name}",
     )
-    return out
 
 
 def enumerate_subadditive(
@@ -204,7 +251,7 @@ def compose(f: MorphismTable, g: MorphismTable) -> MorphismTable:
             f"cannot compose {f.source.name} -> {f.target.name} with "
             f"{g.source.name} -> {g.target.name}"
         )
-    return classify(f.source, g.target, tuple(g.values[v] for v in f.values))
+    return classify(f.source, g.target, [tuple(g.values[v] for v in f.values)])[0]
 
 
 class HomomorphismCriteria(NamedTuple):

@@ -195,7 +195,9 @@ def forward_search(
     *,
     layer: str,
 ) -> None:
-    """Call ``leaf`` on every value array satisfying all constraints.
+    """Call ``leaf`` on every value array satisfying all constraints, in
+    lexicographic order; the callers pass ``list.append`` and re-check the
+    whole list at once (``morphisms.checked_search``).
 
     The source order and the tables ``S`` of ``laws`` are ``source``'s, the
     target order and the tables ``T`` are ``target``'s.  Raises SizeLimit
@@ -213,8 +215,8 @@ def forward_search(
 
     A table that is not commutative can only lose constraints: every
     solution is still found, and each extra leaf fails the callers'
-    exhaustive re-check (``classify``, ``is_quantale_hom``) as
-    InternalMismatch.
+    exhaustive re-check of every leaf (``classify``, ``is_quantale_hom``)
+    as InternalMismatch.
     """
     n, budget = source.n, NODE_BUDGET
     domain = [target.full] * n

@@ -12,6 +12,7 @@ import osr.ideals
 from osr.errors import (
     EndpointMismatch,
     InternalMismatch,
+    NotAQuantale,
     PresentationViolation,
     UniversalityFailure,
 )
@@ -25,11 +26,8 @@ from .test_preorders import glued_truncnat3, indiscrete_z2
 
 
 def all_homs_bruteforce(L, Q):
-    out = []
-    for values in product(range(Q.n), repeat=L.n):
-        if is_quantale_hom(L, Q, values):
-            out.append(values)
-    return sorted(out)
+    maps = list(product(range(Q.n), repeat=L.n))
+    return [values for values, ok in zip(maps, is_quantale_hom(L, Q, maps)) if ok]
 
 
 def quantale_hom_by_pair_walk(L, Q, values):
@@ -144,9 +142,9 @@ def test_universality_failure_path_is_shared(monkeypatch):
         "dlat-presentation",
     }
 
-    monkeypatch.setattr(osr.ideals, "is_quantale_hom", lambda L, Q, values: False)
+    monkeypatch.setattr(osr.ideals, "is_quantale_hom", lambda L, Q, maps: [False] * len(maps))
     Q = osr.chain_frame(2)
-    f = osr.classify(A, osr.build_from_quantale(Q), (0, 1, 0, 1, 0, 1))
+    f = osr.classify(A, osr.build_from_quantale(Q), [(0, 1, 0, 1, 0, 1)])[0]
     with pytest.raises(InternalMismatch):
         osr.extend_to_quantale_hom(f, Q, osr.enumerate_ideals(A))
 
@@ -156,9 +154,9 @@ def test_is_quantale_hom_matches_the_pair_walk_on_every_map():
     for L in lattices:
         for Q in quantale_targets():
             for a, b in ((L, Q), (Q, L)):
-                for values in product(range(b.n), repeat=a.n):
-                    want = quantale_hom_by_pair_walk(a, b, values)
-                    assert is_quantale_hom(a, b, values) == want, (a.name, b.name)
+                maps = list(product(range(b.n), repeat=a.n))
+                want = [quantale_hom_by_pair_walk(a, b, values) for values in maps]
+                assert is_quantale_hom(a, b, maps) == want, (a.name, b.name)
 
 
 def test_is_quantale_hom_sees_one_wrong_table_entry():
@@ -166,7 +164,7 @@ def test_is_quantale_hom_sees_one_wrong_table_entry():
     # the join or product table changed, fails at that entry only
     for Q in (*quantale_targets(), *small_distributive_lattices()):
         ident = tuple(range(Q.n))
-        assert is_quantale_hom(Q, Q, ident)
+        assert is_quantale_hom(Q, Q, [ident]) == [True]
         if Q.n == 1:
             continue  # no other value to put in the one entry
         pairs = [(i, j) for i in range(Q.n) for j in range(Q.n)]
@@ -177,7 +175,7 @@ def test_is_quantale_hom_sees_one_wrong_table_entry():
                 table[i][j] = (table[i][j] + 1) % Q.n
                 wrong = Q._replace(**{field: tuple(map(tuple, table))})
                 assert not quantale_hom_by_pair_walk(wrong, Q, ident)
-                assert not is_quantale_hom(wrong, Q, ident), (Q.name, field, i, j)
+                assert is_quantale_hom(wrong, Q, [ident]) == [False], (Q.name, field, i, j)
 
 
 def test_join_extension_matches_the_member_fold():
@@ -206,26 +204,45 @@ def test_join_extension_matches_the_member_fold():
 
 def test_is_quantale_hom_matches_the_pair_walk_on_the_ideals_of_chain24():
     # Idl(chain:24) is a 24-element chain whose product is its meet, so a
-    # sorted map that keeps bottom and top is a hom and a shuffled one is not
+    # sorted map that keeps bottom and top is a hom and a shuffled one is
+    # not; as a target it is looked up in four 16 x 16 blocks.  Batches of
+    # 1 to 300 maps mix homs with maps that fail one law, or bottom or unit
     L = enumerate_ideals(osr.build_chain_lattice(24)).lattice
     assert L.n == 24 and L.leq == tuple(-1 << i & (1 << 24) - 1 for i in range(24))
+    assert len(L.codes[0]) == 4
     rng = random.Random(17)
     outcomes = []
-    for Q in (L, osr.chain_frame(3), osr.diamond_frame()):
-        for _ in range(150):
+    for Q in (L, osr.chain_frame(3), osr.diamond_frame(), L, L):
+        maps = []
+        for _ in range(rng.randint(1, 300)):
             values = sorted(rng.randrange(Q.n) for _ in range(L.n))
             values[L.bottom], values[L.unit] = Q.bottom, Q.unit
             if rng.random() < 0.5:
                 i, j = rng.sample(range(1, L.n - 1), 2)
                 values[i], values[j] = values[j], values[i]
-            want = quantale_hom_by_pair_walk(L, Q, values)
-            assert is_quantale_hom(L, Q, values) == want, (Q.name, values)
-            outcomes.append(want)
-    assert 100 < sum(outcomes) < 400
+            elif rng.random() < 0.1:
+                values[rng.choice((L.bottom, L.unit))] = rng.randrange(Q.n)
+            maps.append(values)
+        want = [quantale_hom_by_pair_walk(L, Q, values) for values in maps]
+        assert is_quantale_hom(L, Q, maps) == want, Q.name
+        outcomes += want
+    assert 0.2 < sum(outcomes) / len(outcomes) < 0.8
 
 
-@pytest.mark.parametrize("values", [(0, -1, 2), (0, 1, 2, 2), (0, 1)])
+@pytest.mark.parametrize("values", [(0, -1, 2), (0, 1, 2, 2), (0, 1), (0, 1, 2.0), 3])
 def test_is_quantale_hom_rejects_a_value_array_that_is_not_a_map(values):
     L = osr.chain_frame(3)
     with pytest.raises(EndpointMismatch, match="does not map chain3 into chain3"):
-        is_quantale_hom(L, L, values)
+        is_quantale_hom(L, L, [values])
+    with pytest.raises(EndpointMismatch, match="does not map chain3 into chain3"):
+        is_quantale_hom(L, L, [(0, 1, 2), values])
+
+
+@pytest.mark.parametrize("maps", [[(1, 1, 2)], [(0, 1, 2)], [], [(0, 1, 7)]])
+def test_is_quantale_hom_refuses_a_lattice_without_a_multiplication(maps):
+    # whatever the maps: bottom is not tested first
+    L = osr.chain_frame(3)
+    bare = L._replace(mul=None, unit=None)
+    for a, b in ((bare, L), (L, bare), (bare, bare)):
+        with pytest.raises(NotAQuantale, match="must carry a multiplication"):
+            is_quantale_hom(a, b, maps)

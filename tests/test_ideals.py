@@ -283,7 +283,7 @@ def test_extend_to_quantale_hom():
     z4 = osr.build_zmod(4)
     iq = enumerate_ideals(z4)
     Q = osr.chain_frame(2)
-    f = classify(z4, osr.build_from_quantale(Q), (0, 1, 0, 1))
+    f = classify(z4, osr.build_from_quantale(Q), [(0, 1, 0, 1)])[0]
     g = extend_to_quantale_hom(f, Q, iq)
     by_label = {iq.ideals[i].label: g[i] for i in range(len(iq.ideals))}
     assert by_label == {"{0}": 0, "{0,2}": 0, "{0,1,2,3}": 1}
@@ -294,7 +294,7 @@ def test_extend_to_quantale_hom():
 
     with pytest.raises(NotSubadditive):
         extend_to_quantale_hom(
-            classify(z4, osr.build_from_quantale(Q), (1, 1, 1, 1)), Q, iq
+            classify(z4, osr.build_from_quantale(Q), [(1, 1, 1, 1)])[0], Q, iq
         )
     bad = osr.core.lattice_from_order(
         ("a", "b"), (0b11, 0b10), mul=((0, 0), (0, 1)), unit=1, name="fine"
@@ -319,7 +319,7 @@ def test_extension_refuses_the_ideals_of_another_semiring():
     # an input error, not an IndexError or a library-fault InternalMismatch
     z4 = osr.build_zmod(4)
     Q = osr.chain_frame(2)
-    f = classify(z4, osr.build_from_quantale(Q), (0, 1, 0, 1))
+    f = classify(z4, osr.build_from_quantale(Q), [(0, 1, 0, 1)])[0]
     for other in ("zmod:6", "zmod:2", "chain:4"):
         iq = enumerate_ideals(osr.from_builder_spec(other))
         with pytest.raises(OwnerMismatch):
@@ -388,11 +388,11 @@ def test_quantale_universality_family(family6):
 def test_induced_quantale_hom():
     z6 = osr.build_zmod(6)
     iq = enumerate_ideals(z6)
-    ident = classify(z6, z6, tuple(range(6)))
+    ident = classify(z6, z6, [tuple(range(6))])[0]
     assert induced_quantale_hom(ident) == tuple(range(len(iq.ideals)))
 
     b = two()
-    f = classify(z6, b, tuple(0 if x in (0, 2, 4) else 1 for x in range(6)))
+    f = classify(z6, b, [tuple(0 if x in (0, 2, 4) else 1 for x in range(6))])[0]
     iqb = enumerate_ideals(b)
     hom = induced_quantale_hom(f)
     by_label = {iq.ideals[i].label: iqb.ideals[hom[i]].label
@@ -403,8 +403,8 @@ def test_induced_quantale_hom():
 
 def test_induced_hom_respects_composition():
     chain3, b = osr.build_chain_lattice(3), two()
-    f = classify(chain3, b, (0, 0, 1))
-    g = classify(b, b, (0, 1))
+    f = classify(chain3, b, [(0, 0, 1)])[0]
+    g = classify(b, b, [(0, 1)])[0]
     lhs = induced_quantale_hom(osr.compose(f, g))
     f_act = induced_quantale_hom(f)
     g_act = induced_quantale_hom(g)
@@ -448,7 +448,7 @@ def principal_ideal_mask_of_product(A, x, y):
 def test_extension_on_two_chain_itself():
     b = two()
     iqb = enumerate_ideals(b)
-    f = classify(b, osr.build_from_quantale(osr.chain_frame(2)), (0, 1))
+    f = classify(b, osr.build_from_quantale(osr.chain_frame(2)), [(0, 1)])[0]
     g = extend_to_quantale_hom(f, osr.chain_frame(2), iqb)
     by_label = {iqb.ideals[i].label: g[i] for i in range(len(iqb.ideals))}
     assert by_label == {"{0}": 0, "{0,1}": 1}

@@ -23,21 +23,21 @@ def kernel_labels(table):
 
 def test_identity_is_homomorphism():
     z6 = osr.build_zmod(6)
-    ident = classify(z6, z6, tuple(range(6)))
+    (ident,) = classify(z6, z6, [tuple(range(6))])
     assert ident.is_homomorphism
 
 
 def test_characteristic_of_prime_complement_is_subadditive():
     z6 = osr.build_zmod(6)
     values = tuple(0 if x in (0, 3) else 1 for x in range(6))
-    table = classify(z6, two(), values)
+    (table,) = classify(z6, two(), [values])
     assert table.is_subadditive_morphism
     assert kernel_labels(table) == frozenset({"0", "3"})
 
 
 def test_constant_one_is_not_subadditive():
     z4 = osr.build_zmod(4)
-    table = classify(z4, two(), (1, 1, 1, 1))
+    (table,) = classify(z4, two(), [(1, 1, 1, 1)])
     assert not table.zero_subzero
     assert not table.is_subadditive_morphism
 
@@ -124,10 +124,9 @@ def test_homomorphism_criteria_can_fail_to_apply():
 
 def test_compose():
     z6, b = osr.build_zmod(6), two()
-    ident6 = classify(z6, z6, tuple(range(6)))
-    prime2 = classify(z6, b, tuple(0 if x in (0, 2, 4) else 1 for x in range(6)))
+    ident6, ident2 = classify(z6, z6, [range(6)])[0], classify(b, b, [(0, 1)])[0]
+    (prime2,) = classify(z6, b, [tuple(0 if x in (0, 2, 4) else 1 for x in range(6))])
     assert compose(ident6, prime2).values == prime2.values
-    ident2 = classify(b, b, (0, 1))
     composite = compose(prime2, ident2)
     assert composite.values == prime2.values
     assert composite.is_subadditive_morphism
@@ -205,14 +204,16 @@ def test_classify_matches_the_pair_walk_on_every_small_map():
     assert {A.n for A in family} >= {1, 4}  # one-index gathers included
     for A in family:
         for B in family:
-            for values in product(range(B.n), repeat=A.n):
-                got = classify(A, B, values)
-                assert tuple(got)[2:] == classify_by_pair_walk(A, B, values)
+            maps = list(product(range(B.n), repeat=A.n))  # one batch or several
+            got = classify(A, B, maps)
+            assert [tuple(t)[2:] for t in got] == [
+                classify_by_pair_walk(A, B, values) for values in maps
+            ]
             for bad in (-1, B.n):
                 with pytest.raises(EndpointMismatch):
-                    classify(A, B, (bad,) + (0,) * (A.n - 1))
+                    classify(A, B, [(bad,) + (0,) * (A.n - 1)])
                 with pytest.raises(EndpointMismatch):
-                    classify(A, B, (0,) * (A.n - 1) + (bad,))
+                    classify(A, B, maps + [(0,) * (A.n - 1) + (bad,)])
 
 
 def test_classify_matches_the_pair_walk_on_random_maps():
@@ -221,10 +222,23 @@ def test_classify_matches_the_pair_walk_on_random_maps():
     for A in family:
         for B in family:
             # 500 arrays drawn as base-|B| numbers; a repeat is checked once
-            for code in {rng.randrange(B.n**A.n) for _ in range(500)}:
-                values = tuple(code // B.n**i % B.n for i in range(A.n))
-                got = classify(A, B, values)
-                assert tuple(got)[2:] == classify_by_pair_walk(A, B, values)
+            codes = sorted({rng.randrange(B.n**A.n) for _ in range(500)})
+            maps = [tuple(code // B.n**i % B.n for i in range(A.n)) for code in codes]
+            got = classify(A, B, maps)
+            assert [tuple(t)[2:] for t in got] == [
+                classify_by_pair_walk(A, B, values) for values in maps
+            ]
+
+
+@pytest.mark.parametrize(
+    "values", [(0, 1, 0, 1, 0, 1.0), (0, 1, 0, 1, 0, "1"), (0, 1, 0, 1, 0, None), 3]
+)
+def test_classify_refuses_a_value_array_with_a_non_integer_entry(values):
+    A = osr.build_zmod(6)
+    with pytest.raises(EndpointMismatch, match="does not map zmod6 into chain2"):
+        classify(A, two(), [values])
+    with pytest.raises(EndpointMismatch, match="does not map zmod6 into chain2"):
+        classify(A, two(), [(0,) * 6, values, (1,) * 6])
 
 
 def glued_truncnat(cap, glued):
@@ -250,25 +264,33 @@ def glued_truncnat(cap, glued):
     )
 
 
-def test_classify_matches_the_pair_walk_on_several_byte_planes():
-    # each byte plane of a target's lower sets holds eight elements, so
-    # these targets take two or three planes; half the maps are sorted, so
-    # that order-respecting maps reach the inequality tests
+def test_classify_matches_the_pair_walk_in_several_code_blocks():
+    # a target of more than 16 elements is looked up in 16 x 16 blocks, so
+    # chain:24, truncnat:23 and truncnat19-glued3 take four; zmod:12 and
+    # truncnat11-glued3 take one.  Batches of 1 to 300 maps, half of them
+    # sorted, so that order-respecting maps reach the inequality tests,
+    # mix passing and failing maps
     glued = glued_truncnat(11, 3)
     assert glued.le(11, 9) and glued.le(9, 11) and not glued.le(11, 8)
+    big_glued = glued_truncnat(19, 3)
     targets = [osr.from_builder_spec(s) for s in ("zmod:12", "chain:24", "truncnat:23")]
-    sources = [*osr.builtin_family(4), glued_truncnat3(), glued]
+    sources = [*osr.builtin_family(4), glued_truncnat3(), glued, big_glued]
     rng = random.Random(17)
     flags = set()
-    for B in [*targets, glued]:
-        assert len(B.lanes) == (B.n + 7) // 8 >= 2
+    for B in [*targets, glued, big_glued]:
+        blocks = ((B.n + 15) // 16) ** 2
+        assert all(len(table) == (256 if blocks == 1 else blocks) for table in B.codes)
         for A in sources:
-            for _ in range(60):
+            maps = []
+            for _ in range(rng.randint(1, 300)):
                 values = [rng.randrange(B.n) for _ in range(A.n)]
                 if rng.random() < 0.5:
                     values.sort()
                     values[A.zero], values[A.one] = B.zero, B.one
-                got = classify(A, B, values)
-                assert tuple(got)[2:] == classify_by_pair_walk(A, B, values)
-                flags.add(tuple(got)[3:])
+                maps.append(values)
+            got = classify(A, B, maps)
+            assert [tuple(t)[2:] for t in got] == [
+                classify_by_pair_walk(A, B, values) for values in maps
+            ]
+            flags.update(tuple(t)[3:] for t in got)
     assert len(flags) > 20  # the flags vary independently, not all False

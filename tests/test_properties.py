@@ -84,7 +84,7 @@ def test_composite_classification_is_compatible(data):
     g_vals = tuple(
         data.draw(st.integers(min_value=0, max_value=C.n - 1)) for _ in range(B.n)
     )
-    f, g = classify(A, B, f_vals), classify(B, C, g_vals)
+    (f,), (g,) = classify(A, B, [f_vals]), classify(B, C, [g_vals])
     h = compose(f, g)
     if f.multiplicative and g.multiplicative:
         assert h.multiplicative

@@ -368,16 +368,19 @@ def _chain_of(n):
 
 
 def test_byte_lanes_refuse_a_structure_above_256_elements(monkeypatch):
-    A = _chain_of(256)[0]
-    assert osr.classify(A, A, range(256)).is_homomorphism  # at the limit
+    A, L256 = _chain_of(256)
+    shuffled = (0, 2, 1, *range(3, 256))  # not monotone, nor additive
+    ident, other = osr.classify(A, A, [range(256), shuffled])  # at the limit
+    assert ident.is_homomorphism and not other.monotone and not other.additive
+    assert osr.homs.is_quantale_hom(L256, L256, [range(256), shuffled]) == [True, False]
     lanes = []
     for module in (osr.core, osr.morphisms, osr.homs):
-        monkeypatch.setattr(module, "lane_table", lanes.append)
+        monkeypatch.setattr(module, "value_batches", lambda *args: lanes.append(args))
     big, L = _chain_of(257)
     for check in (
-        lambda: osr.classify(big, big, range(257)),
-        lambda: osr.classify(osr.two(), big, (0, 256)),
-        lambda: osr.homs.is_quantale_hom(L, L, range(257)),
+        lambda: osr.classify(big, big, [range(257)]),
+        lambda: osr.classify(osr.two(), big, [(0, 256)]),
+        lambda: osr.homs.is_quantale_hom(L, L, [range(257)]),
     ):
         with pytest.raises(SizeLimit) as exc:
             check()
@@ -386,14 +389,14 @@ def test_byte_lanes_refuse_a_structure_above_256_elements(monkeypatch):
         )
     assert lanes == []
     for S in (big, L):
-        assert not {"flat", "rows", "lanes"} & set(vars(S))
+        assert not {"flat", "codes"} & set(vars(S))
 
 
 def test_morphism_leaf_failing_classification_raises(monkeypatch):
     real = osr.morphisms.classify
 
-    def broken(A, B, values):
-        return real(A, B, values)._replace(multiplicative=False)
+    def broken(A, B, maps):
+        return [t._replace(multiplicative=False) for t in real(A, B, maps)]
 
     monkeypatch.setattr(osr.morphisms, "classify", broken)
     with pytest.raises(InternalMismatch, match=r"map \[0, 1, 0, 1, 0, 1\]"):
@@ -401,9 +404,84 @@ def test_morphism_leaf_failing_classification_raises(monkeypatch):
 
 
 def test_hom_leaf_failing_exhaustive_check_raises(monkeypatch):
-    monkeypatch.setattr(osr.homs, "is_quantale_hom", lambda L, Q, values: False)
+    monkeypatch.setattr(osr.homs, "is_quantale_hom", lambda L, Q, maps: [False] * len(maps))
     with pytest.raises(InternalMismatch, match=r"\[0, 0, 1\] from chain3 to chain2"):
         osr.enumerate_quantale_homs(osr.chain_frame(3), osr.chain_frame(2))
+
+
+def test_the_first_map_failing_the_recheck_is_named(monkeypatch):
+    # the re-check runs once over every map found; the mismatch names the
+    # first failing map in lexicographic order, in the per-map message
+    A, B = osr.build_chain_lattice(6), osr.build_chain_lattice(3)
+    found = [t.values for t in osr.enumerate_subadditive(A, B)]
+    rng = random.Random(3)
+    failing = set(rng.sample(found[1:], 5))
+    real = osr.morphisms.classify
+
+    def broken(A, B, maps):
+        return [
+            t._replace(monotone=False) if t.values in failing else t
+            for t in real(A, B, maps)
+        ]
+
+    monkeypatch.setattr(osr.morphisms, "classify", broken)
+    with pytest.raises(InternalMismatch) as exc:
+        osr.enumerate_subadditive(A, B)
+    assert str(exc.value) == (
+        f"map {list(min(failing))} from chain6 to chain3 passed forward "
+        f"checking but fails the exhaustive classification"
+    )
+    L, Q = osr.chain_frame(6), osr.diamond_frame()
+    homs = osr.enumerate_quantale_homs(L, Q)
+    failing = set(rng.sample(homs[1:], 2))
+    real_hom = osr.homs.is_quantale_hom
+    monkeypatch.setattr(
+        osr.homs,
+        "is_quantale_hom",
+        lambda L, Q, maps: [v not in failing and ok for v, ok in zip(maps, real_hom(L, Q, maps))],
+    )
+    with pytest.raises(InternalMismatch) as exc:
+        osr.enumerate_quantale_homs(L, Q)
+    assert str(exc.value) == (
+        f"map {list(min(failing))} from chain6 to diamond passed forward "
+        f"checking but is not a quantale homomorphism"
+    )
+
+
+def test_a_failing_map_found_before_the_budget_runs_out_is_reported(monkeypatch):
+    # the maps found before the node budget runs out are re-checked before
+    # SizeLimit is raised, so a failing one raises InternalMismatch, as it
+    # would have at its own leaf; with none failing, SizeLimit stands
+    A, B = osr.build_chain_lattice(6), osr.build_chain_lattice(3)
+    L, Q = osr.chain_frame(6), osr.diamond_frame()
+    monkeypatch.setattr(osr.search, "NODE_BUDGET", 12)
+    found = []
+    monkeypatch.setattr(
+        osr.morphisms, "forward_search",
+        lambda *args, **kw: osr.search.forward_search(*args[:4], found.append, **kw),
+    )
+    with pytest.raises(SizeLimit):
+        osr.enumerate_subadditive(A, B)
+    leaves = found[:]
+    with pytest.raises(SizeLimit):
+        osr.enumerate_quantale_homs(L, Q)
+    assert leaves and found[len(leaves) :]  # both walks reached leaves
+    monkeypatch.undo()
+    monkeypatch.setattr(osr.search, "NODE_BUDGET", 12)
+    real = osr.morphisms.classify
+    seen = []
+
+    def broken(A, B, maps):
+        seen.append(list(maps))
+        return [t._replace(multiplicative=False) for t in real(A, B, maps)]
+
+    monkeypatch.setattr(osr.morphisms, "classify", broken)
+    with pytest.raises(InternalMismatch, match=r"from chain6 to chain3 passed forward"):
+        osr.enumerate_subadditive(A, B)
+    assert seen == [leaves]
+    monkeypatch.setattr(osr.homs, "is_quantale_hom", lambda L, Q, maps: [False] * len(maps))
+    with pytest.raises(InternalMismatch, match=r"from chain6 to diamond passed forward"):
+        osr.enumerate_quantale_homs(L, Q)
 
 
 @pytest.mark.parametrize("spec", ["chain:12", "zmod:12"])
@@ -418,13 +496,14 @@ def test_primes_at_the_carrier_cap(capsys):
 
 
 def test_engine_and_oracles_do_not_use_the_leaf_gathers():
-    # classify and is_quantale_hom read whole tables as byte lanes,
-    # join_extension through core.gather, and the closure and ideal products
-    # through slice_images; the engine whose leaves they re-check, the raw
-    # oracles and the raw ideal routes that check the closure must not, or
-    # one fault there could hide in both
+    # classify and is_quantale_hom read whole tables as byte strings of pair
+    # codes, join_extension through core.gather, and the closure and ideal
+    # products through slice_images; the engine whose leaves they re-check,
+    # the raw oracles and the raw ideal routes that check the closure must
+    # not, or one fault there could hide in both
     leaf_names = {"gather", "image", "gathers", "member_gathers", "order_pairs"}
-    leaf_names |= {"lanes", "rows", "lane_table", "translate", "slice_images"}
+    leaf_names |= {"translate", "slice_images", "flat", "codes", "value_batches"}
+    leaf_names |= {"pair_codes", "BlockCodes", "each_equal", "each_true", "each_within"}
     raw_routes = (osr.ideals.is_ideal, osr.ideals.generated_ideal_by_sums)
     raw_routes += (osr.ideals.product_set,)
     sources = [Path(osr.search.__file__).read_text()]
