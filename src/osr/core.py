@@ -10,26 +10,11 @@ at a time: each side of the law over all ``(y, z)`` is a tuple of ``n``
 rows built by ``gather`` at C speed, the two are compared once, and the
 first mismatch of a row gives back its witness ``(y, z)``.  These tuples
 hold structures of any size.
-
-The exhaustive re-check of the maps a search finds (``morphisms.classify``,
-``homs.is_quantale_hom``) reads a whole list of maps in batches of
-``256 // n`` (``value_batches``), one byte per table entry.  A batch's lane
-holds the values of its maps one after another; each source-side string
-(``flat``: the row-major tables and the ``x`` and ``y`` of every element
-pair, written once per map of a batch) is translated by it once, giving
-every map's images, map by map.  The target side is looked up once per
-batch: the pair code ``m * f(x) + f(y)`` of every entry (``pair_codes``)
-is translated through the target's 256-byte code tables (``codes``, in
-16 x 16 blocks above 16 elements), and each law is one comparison for the
-whole batch, read map by map only where it fails.  These byte forms hold
-structures of at most 256 elements; a larger one is refused with
-SizeLimit.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
-from itertools import chain
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -44,7 +29,6 @@ from typing import (
 
 from .errors import (
     AxiomViolation,
-    EndpointMismatch,
     InternalMismatch,
     IsoFailure,
     LabelError,
@@ -171,206 +155,6 @@ def _first_triple(rows: Iterable[Optional[int]], n: int) -> Optional[tuple]:
         if k is not None:
             return (x, *divmod(k, n))
     return None
-
-
-_BYTES = bytes(range(256))
-_LOW = _BYTES[:16] * 16  # byte c becomes c & 15
-_HIGH = b"".join(_BYTES[h : h + 1] * 16 for h in range(16))  # c becomes c >> 4
-
-
-def _check_lanes(S: FiniteOrderedSemiring | FiniteLattice) -> None:
-    """Refuse a structure whose elements do not fit in one byte each."""
-    if S.n > 256:
-        raise SizeLimit(
-            f"leaf check: {S.name} has {S.n} elements; byte lanes hold 256"
-        )
-
-
-class BatchSides(dict):
-    """The source side of the laws of one structure, for batches of maps
-    (``value_batches``): ``self[count]`` has each string of ``shifted``
-    once per map of a batch of ``count`` maps or more, copy ``k`` with
-    ``k * n`` added to every entry, so that one ``translate`` by the
-    batch's lane gives every map's images, map by map; then each string of
-    ``repeated`` as often.  The caller reads the first ``count`` copies.
-    The strings for a capacity (a power of two, or ``256 // n``) are built
-    on first use and kept."""
-
-    def __init__(self, n: int, shifted: tuple[bytes, ...], repeated=()) -> None:
-        super().__init__({1: (*shifted, *repeated)})
-        self.n, self.shifted, self.repeated = n, shifted, repeated
-
-    def __missing__(self, count: int) -> tuple[bytes, ...]:
-        n = self.n
-        capacity = min(1 << (count - 1).bit_length(), 256 // n)
-        strings = self.get(capacity)
-        if strings is None:
-            shifts = [_BYTES[d:] + _BYTES[:d] for d in range(0, capacity * n, n)]
-            strings = self[capacity] = (
-                *(b"".join(map(side.translate, shifts)) for side in self.shifted),
-                *(side * capacity for side in self.repeated),
-            )
-        self[count] = strings
-        return strings
-
-
-@cache
-def _pairs(n: int) -> tuple[bytes, bytes]:
-    """The ``x`` and the ``y`` of every pair ``(x, y)`` of ``0..n-1``, as
-    bytes in row-major order."""
-    return bytes(chain.from_iterable([x] * n for x in range(n))), _BYTES[:n] * n
-
-
-def _flat(S: FiniteOrderedSemiring | FiniteLattice, *tables: Table, repeated=()):
-    """The ``BatchSides`` of the source side of the laws of ``S``: its
-    ``tables`` row-major as bytes, then the ``x`` and the ``y`` of every
-    pair of elements in the same order."""
-    _check_lanes(S)
-    flats = (bytes(chain.from_iterable(T)) for T in tables)
-    return BatchSides(S.n, (*flats, *_pairs(S.n)), repeated)
-
-
-def _code_tables(S: FiniteOrderedSemiring | FiniteLattice, *flats: bytes) -> tuple:
-    """Each row-major table of ``S`` as pair-code tables (``pair_codes``).
-    With ``m <= 16`` elements byte ``a * m + b`` is ``T[a][b]``: the table
-    itself, padded to 256 bytes.  Above, element ``a`` is ``16 * ha + la``
-    and each block ``(ha, hb)`` is a triple: its code ``16 * ha + hb``, the
-    table sending that code to 255 and every other to 0, and the 256-byte
-    table whose byte ``16 * la + lb`` is ``T[a][b]``."""
-    m = S.n
-    if m <= 16:
-        return tuple(flat.ljust(256, b"\0") for flat in flats)
-    halves = range((m + 15) >> 4)
-
-    def table(ha: int, hb: int, flat: bytes) -> bytes:
-        cols = slice(16 * hb, min(16 * hb + 16, m))
-        rows = range(16 * ha, min(16 * ha + 16, m))
-        block = (flat[a * m :][cols].ljust(16, b"\0") for a in rows)
-        return b"".join(block).ljust(256, b"\0")
-
-    selects = {
-        ha << 4 | hb: bytes(255 if c == ha << 4 | hb else 0 for c in range(256))
-        for ha in halves
-        for hb in halves
-    }
-    return tuple(
-        tuple(
-            (code, select, table(code >> 4, code & 15, flat))
-            for code, select in selects.items()
-        )
-        for flat in flats
-    )
-
-
-def _code(high: bytes, low: bytes) -> bytes:
-    """``16 * high[k] + low[k]`` for every ``k``, all entries below 16: two
-    big-int conversions and an OR."""
-    return (int.from_bytes(high, "big") << 4 | int.from_bytes(low, "big")).to_bytes(
-        len(high), "big"
-    )
-
-
-class BlockCodes:
-    """The pair codes of a target of more than 16 elements: the base-16
-    code of the low nibbles and that of the high ones, the block."""
-
-    __slots__ = ("low", "blocks")
-
-    def __init__(self, low: bytes, blocks: bytes) -> None:
-        self.low, self.blocks = low, blocks
-
-    def translate(self, table: tuple) -> bytes:
-        """The entry of every pair, ``table`` being a ``_code_tables``
-        form: one ``translate`` per block that occurs, each masked to its
-        own entries."""
-        out = 0
-        for block, select, part in table:
-            if block in self.blocks:
-                out |= int.from_bytes(
-                    self.blocks.translate(select), "big"
-                ) & int.from_bytes(self.low.translate(part), "big")
-        return out.to_bytes(len(self.low), "big")
-
-
-def pair_codes(P: bytes, Q: bytes, m: int) -> Union[bytes, BlockCodes]:
-    """The pair codes of ``(P[k], Q[k])`` for every ``k``, entries below
-    ``m``: ``m * P[k] + Q[k]`` when ``m <= 16`` (no byte carries, as it
-    stays below 256), else a ``BlockCodes``.  Either way, its ``translate``
-    of a ``_code_tables`` table gives the table's entry at every pair."""
-    if m <= 16:
-        code = int.from_bytes(P, "big") * m + int.from_bytes(Q, "big")
-        return code.to_bytes(len(P), "big")
-    return BlockCodes(
-        _code(P.translate(_LOW), Q.translate(_LOW)),
-        _code(P.translate(_HIGH), Q.translate(_HIGH)),
-    )
-
-
-def each_equal(P: bytes, Q: bytes, size: int) -> list[bool]:
-    """For each map's slice of ``size`` bytes, whether ``P`` and ``Q`` agree
-    on it."""
-    return [P[k : k + size] == Q[k : k + size] for k in range(0, len(P), size)]
-
-
-def each_true(flags: bytes, size: int) -> list[bool]:
-    """For each map's slice of ``size`` bytes of ``flags``, whether no byte
-    of it is 0; one search when no byte is."""
-    if 0 not in flags:
-        return [True] * (len(flags) // size)
-    return [flags.find(0, k, k + size) < 0 for k in range(0, len(flags), size)]
-
-
-def each_within(flags: bytes, pattern: bytes, size: int) -> list[bool]:
-    """For each map's slice of ``size`` bytes, whether ``flags`` is 1
-    wherever ``pattern`` is, both being bytes 0 or 1: one AND of two big
-    ints."""
-    mask = int.from_bytes(pattern, "big")
-    within = int.from_bytes(flags, "big") & mask
-    if within == mask:
-        return [True] * (len(pattern) // size)
-    return each_equal(within.to_bytes(len(flags), "big"), pattern, size)
-
-
-def _refusal(S, T, maps: Sequence) -> EndpointMismatch:
-    """EndpointMismatch naming the first of ``maps`` that is not an array of
-    ``S.n`` integers below ``T.n``."""
-
-    def fits(values) -> bool:
-        try:
-            return len(values) == S.n and max(bytes(values)) < T.n
-        except (TypeError, ValueError):
-            return False
-
-    values = next(values for values in maps if not fits(values))
-    size = f"of length {len(values)}" if hasattr(values, "__len__") else repr(values)
-    return EndpointMismatch(f"value array {size} does not map {S.name} into {T.name}")
-
-
-def value_batches(
-    S: FiniteOrderedSemiring | FiniteLattice,
-    T: FiniteOrderedSemiring | FiniteLattice,
-    maps: Sequence,
-) -> list[tuple[Sequence, bytes]]:
-    """``maps``, value arrays from ``S`` into ``T``, in batches of
-    ``256 // S.n``, each with its lane: the values of its maps one after
-    another, padded to the 256 bytes of a ``translate`` table, so that one
-    ``translate`` of a string of ``S.flat`` is the image of every map of
-    the batch, map by map.  Length, range and type are checked once per
-    batch, every batch before any is returned; EndpointMismatch names the
-    first array that is not a map from S into T."""
-    n, valid = S.n, _BYTES[: T.n]
-    step, out = 256 // n, []
-    for k in range(0, len(maps), step):
-        batch = maps[k : k + step]
-        try:
-            lane = b"".join(map(bytes, batch))
-            sized = set(map(len, batch)) == {n}  # len refuses an int, which bytes takes
-        except (TypeError, ValueError):
-            sized = False
-        if not sized or lane.translate(None, valid):
-            raise _refusal(S, T, batch)
-        out.append((batch, lane.ljust(256, b"\0")))
-    return out
 
 
 def bits_label(mask: int) -> str:
@@ -561,23 +345,6 @@ class FiniteOrderedSemiring(Record):
         from .search import SearchTarget
 
         return SearchTarget(self.leq)
-
-    @cached_property
-    def flat(self) -> BatchSides:
-        """The ``add`` and ``mul`` tables and the ``x`` and ``y`` of every
-        pair of elements, row-major as bytes (``_flat``); last, repeated, the
-        order: byte ``x * n + y`` is 1 if ``x <= y``, else 0."""
-        _check_lanes(self)
-        n, leq = self.n, self.leq
-        order = bytes(row >> y & 1 for row in leq for y in range(n))
-        return _flat(self, self.add, self.mul, repeated=(order,))
-
-    @cached_property
-    def codes(self) -> tuple:
-        """``add``, ``mul`` and ``<=`` (1 or 0) as pair-code tables, read
-        from ``flat``."""
-        add, mul, _, _, order = self.flat[1]
-        return _code_tables(self, add, mul, order)
 
     @property
     def is_discrete(self) -> bool:
@@ -809,19 +576,6 @@ class FiniteLattice(Record):
         from .search import SearchSource
 
         return SearchSource(self.leq)
-
-    @cached_property
-    def flat(self) -> BatchSides:
-        """The ``join`` and ``mul`` tables, ``bottom`` and ``unit``, and
-        the ``x`` and ``y`` of every pair of elements, row-major as bytes
-        (``_flat``)."""
-        return _flat(self, self.join, self.mul, ((self.bottom, self.unit),))
-
-    @cached_property
-    def codes(self) -> tuple:
-        """``join`` and ``mul`` as pair-code tables, read from ``flat``."""
-        join, mul, *_ = self.flat[1]
-        return _code_tables(self, join, mul)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:

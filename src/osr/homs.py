@@ -13,27 +13,22 @@ Enumeration runs the same forward-checking engine as the morphism search
 (``search.forward_search``) over every element of the source, each
 preservation law narrowing the values of the last element it mentions.
 The maps it finds are re-checked exhaustively by one call of
-``is_quantale_hom``, which compares the two sides of each law as byte
-strings over every map of a batch, as ``morphisms.classify`` does.
+``is_quantale_hom``, which reads the law kernel of ``recheck`` that
+``morphisms.classify`` reads too.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import (
-    FiniteLattice,
-    each_equal,
-    gather,
-    pair_codes,
-    value_batches,
-)
+from .core import FiniteLattice, gather
 from .errors import (
     InternalMismatch,
     NotAQuantale,
     UniversalityFailure,
 )
 from .morphisms import MorphismTable, checked_search
+from .recheck import law_columns
 
 if TYPE_CHECKING:
     from .ideals import IdealLattice
@@ -41,39 +36,14 @@ if TYPE_CHECKING:
 
 def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, maps) -> list[bool]:
     """Exhaustive check of each value array of ``maps``, in order: whether
-    it preserves binary joins, bottom, unit, and product.
-
-    Every pair of every map of a batch is compared, one byte string per
-    side of each law and one comparison for the batch, map by map only
-    where it fails: the images of L's joins (products) under the batch's
-    lane against Q's joins (products) looked up at the images' pair codes,
-    and the images of bottom and unit against Q's.  Raises NotAQuantale if either lattice
-    lacks a multiplication, whatever the maps, and EndpointMismatch for a
-    value array that is not a map from L into Q.  With no maps, no table is
-    read or built."""
+    it preserves binary joins, products, bottom and unit, every pair of
+    every map compared (the first column of ``recheck.law_columns``).
+    Raises NotAQuantale if either lattice lacks a multiplication, whatever
+    the maps, and EndpointMismatch for a value array that is not a map from
+    L into Q.  With no maps, no table is read or built."""
     if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
         raise NotAQuantale("both lattices must carry a multiplication")
-    if not maps:
-        return []
-    sides, (join_codes, mul_codes) = L.flat, Q.codes
-    size, ends = L.n * L.n, bytes((Q.bottom, Q.unit))
-    out: list[bool] = []
-    for batch, lane in value_batches(L, Q, maps):
-        count = len(batch)
-        end = count * size
-        join, mul, bottom_unit, xs, ys = sides[count]
-        at = pair_codes(xs[:end].translate(lane), ys[:end].translate(lane), Q.n)
-        lefts = (
-            bottom_unit[: 2 * count].translate(lane),
-            join[:end].translate(lane),
-            mul[:end].translate(lane),
-        )
-        rights = (ends * count, at.translate(join_codes), at.translate(mul_codes))
-        if lefts == rights:
-            out += [True] * count
-        else:
-            out += map(all, zip(*map(each_equal, lefts, rights, (2, size, size))))
-    return out
+    return law_columns(L, Q, maps)[0]
 
 
 def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[tuple[int, ...]]:

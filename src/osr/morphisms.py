@@ -3,12 +3,10 @@
 A subadditive morphism is monotone with f(0) <= 0, f(1) = 1,
 f(x+y) <= f(x)+f(y) and f(xy) = f(x)f(y).  A homomorphism additionally has
 f(0) = 0 and f(x+y) = f(x)+f(y).  Classification flags are always computed
-exhaustively over all element pairs, for a whole list of maps at once:
-each side of each law, over every map of a batch, is one byte string
-(``core.value_batches``, ``core.pair_codes``), and each law is one comparison
-for the batch, read map by map only where it fails.  Enumeration runs the
-forward-checking engine of ``search``, collects every map it finds, and
-reclassifies them all in one call.
+exhaustively over all element pairs, for a whole list of maps at once, by
+the law kernel of ``recheck`` that ``homs.is_quantale_hom`` reads too.
+Enumeration runs the forward-checking engine of ``search``, collects every
+map it finds, and reclassifies them all in one call.
 
 The fixed global convention tying morphisms to ideals is f <-> f^{-1}(0):
 a map to the two-element chain classifies the ideal of elements sent to
@@ -17,17 +15,13 @@ bottom.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
-from .core import (
-    FiniteOrderedSemiring,
-    each_equal,
-    each_true,
-    each_within,
-    pair_codes,
-    value_batches,
-)
+from .core import FiniteOrderedSemiring
 from .errors import EndpointMismatch, InternalMismatch, SizeLimit
+from .recheck import law_columns
 from .search import forward_search
 
 
@@ -95,69 +89,48 @@ class MorphismTable(NamedTuple):
         )
 
 
+# a NamedTuple's own ``__new__`` is a Python function taking each field as
+# an argument: building the tuple of fields directly costs half as much
+_table = partial(tuple.__new__, MorphismTable)
+
+
 def classify(
     A: FiniteOrderedSemiring, B: FiniteOrderedSemiring, maps
 ) -> list[MorphismTable]:
     """Compute every classification flag of each value array of ``maps``,
-    one table per array, in order.
-
-    Each flag covers every element pair of every map of a batch: the
-    images of ``A.flat`` under the batch's lane against B's tables looked
-    up at the images' pair codes, ``T[f(x)][f(y)]``, one comparison for
-    the batch and map by map only where it fails.  An inequality (a lookup
-    of ``<=``) is only tested where its equation fails, since B's order is
-    reflexive.  A value array that is not a map from A into B
-    raises EndpointMismatch.  With no maps, no table is read or built."""
+    one table per array, in order: the columns of ``recheck.law_columns``,
+    each flag over every element pair.  A value array that is not a map
+    from A into B raises EndpointMismatch.  With no maps, no table is read
+    or built."""
     if not maps:
         return []
-    sides, (add_codes, mul_codes, le_codes) = A.flat, B.codes
-    size, m = A.n * A.n, B.n
-    zero, one, leq = B.zero, B.one, B.leq
-    out: list[MorphismTable] = []
-    for batch, lane in value_batches(A, B, maps):
-        count = len(batch)
-        end = count * size
-        add, mul, xs, ys, order = sides[count]
-        sums, prods = add[:end].translate(lane), mul[:end].translate(lane)
-        at = pair_codes(xs[:end].translate(lane), ys[:end].translate(lane), m)
-        target_sums, target_prods = at.translate(add_codes), at.translate(mul_codes)
-        monotone = each_within(at.translate(le_codes), order[:end], size)
-        if sums == target_sums:
-            additive = subadditive = [True] * count
-        else:
-            additive = each_equal(sums, target_sums, size)
-            below = pair_codes(sums, target_sums, m).translate(le_codes)
-            subadditive = each_true(below, size)
-        if prods == target_prods:
-            multiplicative = submultiplicative = [True] * count
-        else:
-            multiplicative = each_equal(prods, target_prods, size)
-            below = pair_codes(prods, target_prods, m).translate(le_codes)
-            submultiplicative = each_true(below, size)
-        for v, mono, sub, add_, mul_, submul in zip(
-            batch, monotone, subadditive, additive, multiplicative, submultiplicative
-        ):
-            v = tuple(v)
-            f0, f1 = v[A.zero], v[A.one]
-            # positional, in field order: keyword arguments more than double
-            # the cost of building the record
-            out.append(
-                MorphismTable(
-                    A,
-                    B,
-                    v,
-                    mono,
-                    leq[f0] >> zero & 1 == 1,  # zero_subzero
-                    f0 == zero,  # zero_strict
-                    f1 == one,  # unit_strict
-                    leq[f1] >> one & 1 == 1,  # unit_subunit
-                    sub,
-                    add_,
-                    mul_,
-                    submul,
-                )
-            )
-    return out
+    (
+        _,
+        additive,
+        multiplicative,
+        zero_strict,
+        unit_strict,
+        subadditive,
+        submultiplicative,
+        zero_subzero,
+        unit_subunit,
+        monotone,
+    ) = law_columns(A, B, maps, order=True)
+    fields = zip(
+        repeat(A),
+        repeat(B),
+        map(tuple, maps),
+        monotone,
+        zero_subzero,
+        zero_strict,
+        unit_strict,
+        unit_subunit,
+        subadditive,
+        additive,
+        multiplicative,
+        submultiplicative,
+    )
+    return list(map(_table, fields))
 
 
 def checked_search(recheck, source, target, pins, laws, *, layer: str) -> list:

@@ -9,6 +9,7 @@ import pytest
 import osr
 import osr.homs
 import osr.ideals
+import osr.recheck
 from osr.errors import (
     EndpointMismatch,
     InternalMismatch,
@@ -209,7 +210,7 @@ def test_is_quantale_hom_matches_the_pair_walk_on_the_ideals_of_chain24():
     # 1 to 300 maps mix homs with maps that fail one law, or bottom or unit
     L = enumerate_ideals(osr.build_chain_lattice(24)).lattice
     assert L.n == 24 and L.leq == tuple(-1 << i & (1 << 24) - 1 for i in range(24))
-    assert len(L.codes[0]) == 4
+    assert len(osr.recheck._target(L)[1]) == 4  # join's pair-code tables
     rng = random.Random(17)
     outcomes = []
     for Q in (L, osr.chain_frame(3), osr.diamond_frame(), L, L):
@@ -246,3 +247,23 @@ def test_is_quantale_hom_refuses_a_lattice_without_a_multiplication(maps):
     for a, b in ((bare, L), (L, bare), (bare, bare)):
         with pytest.raises(NotAQuantale, match="must carry a multiplication"):
             is_quantale_hom(a, b, maps)
+
+
+def test_subadditive_morphisms_between_finite_quantales_are_the_homs():
+    # finite fullness: at finite scale a subadditive morphism between
+    # integral quantales is a quantale homomorphism (monotone and
+    # subadditive preserve binary joins, and f(bottom) <= bottom is
+    # f(bottom) = bottom), so the two searches agree; the paper's
+    # non-fullness rests on infinite joins.  Idl and Rad of every instance
+    # of builtin_family(8), into the six stock targets, both zero variants
+    targets = (*small_distributive_lattices(), osr.nilpotent_chain_quantale())
+    cases = 0
+    for A in osr.builtin_family(8):
+        for L in (enumerate_ideals(A).lattice, osr.enumerate_radical_ideals(A).lattice):
+            for Q in targets:
+                homs = enumerate_quantale_homs(L, Q)
+                for strict_zero in (False, True):
+                    found = enumerate_subadditive(L.semiring, Q.semiring, strict_zero)
+                    assert [f.values for f in found] == homs, (L.name, Q.name)
+                    cases += 1
+    assert cases == 960

@@ -27,7 +27,7 @@ from osr.core import (
     lower_masks,
     validate,
 )
-from osr.errors import NotALattice, NotAQuantale
+from osr.errors import NotALattice, NotAQuantale, SizeLimit
 
 
 # --- the reference loops ------------------------------------------------------
@@ -516,7 +516,23 @@ def square_zero_maxplus():
     )
 
 
-def test_a_quantale_of_257_ideals_builds():
-    iq = osr.enumerate_ideals(square_zero_maxplus())
+@pytest.fixture(scope="module")
+def ideals_257():
+    return osr.enumerate_ideals(square_zero_maxplus())
+
+
+def test_a_quantale_of_257_ideals_builds(ideals_257):
+    iq = ideals_257
     assert len(iq) == iq.lattice.n == 257
     assert iq.lattice.top == 256 and iq.lattice.mul[256][256] == 256
+
+
+def test_the_leaf_check_refuses_a_quantale_of_257_ideals(ideals_257):
+    # the README's limit: the re-check's byte lanes hold 256 elements, so a
+    # 10-element input whose ideal quantale has 257 is refused by check,
+    # within the validator's 24-element cap
+    with pytest.raises(SizeLimit) as exc:
+        osr.enumerate_quantale_homs(ideals_257.lattice, osr.chain_frame(2))
+    assert str(exc.value) == (
+        "leaf check: ideals(sqzero8) has 257 elements; byte lanes hold 256"
+    )

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import osr
+import osr.recheck
 from osr import classify, compose, enumerate_sub_submul, enumerate_subadditive, two
 from osr.core import RawSemiringDescription, bits, validate
 from osr.errors import EndpointMismatch
@@ -279,7 +280,8 @@ def test_classify_matches_the_pair_walk_in_several_code_blocks():
     flags = set()
     for B in [*targets, glued, big_glued]:
         blocks = ((B.n + 15) // 16) ** 2
-        assert all(len(table) == (256 if blocks == 1 else blocks) for table in B.codes)
+        codes = osr.recheck._target(B)[1:4]  # add, mul and <= as pair-code tables
+        assert all(len(table) == (256 if blocks == 1 else blocks) for table in codes)
         for A in sources:
             maps = []
             for _ in range(rng.randint(1, 300)):

@@ -14,6 +14,7 @@ import osr
 import osr.homs
 import osr.ideals
 import osr.morphisms
+import osr.recheck
 import osr.search
 from osr.cli import main
 from osr.errors import InternalMismatch, SizeLimit
@@ -373,9 +374,10 @@ def test_byte_lanes_refuse_a_structure_above_256_elements(monkeypatch):
     ident, other = osr.classify(A, A, [range(256), shuffled])  # at the limit
     assert ident.is_homomorphism and not other.monotone and not other.additive
     assert osr.homs.is_quantale_hom(L256, L256, [range(256), shuffled]) == [True, False]
-    lanes = []
-    for module in (osr.core, osr.morphisms, osr.homs):
-        monkeypatch.setattr(module, "value_batches", lambda *args: lanes.append(args))
+    osr.classify(osr.two(), osr.two(), [(0, 1)])  # two's own tables, built here
+    built = []  # from here on, nothing that reads a lane or a table is reached
+    for name in ("BatchSides", "_code_tables", "_order", "pair_codes"):
+        monkeypatch.setattr(osr.recheck, name, lambda *args: built.append(args))
     big, L = _chain_of(257)
     for check in (
         lambda: osr.classify(big, big, [range(257)]),
@@ -387,9 +389,9 @@ def test_byte_lanes_refuse_a_structure_above_256_elements(monkeypatch):
         assert str(exc.value) == (
             "leaf check: chain257 has 257 elements; byte lanes hold 256"
         )
-    assert lanes == []
+    assert built == []
     for S in (big, L):
-        assert not {"flat", "codes"} & set(vars(S))
+        assert not [key for key in vars(S) if key.startswith("_recheck")]
 
 
 def test_morphism_leaf_failing_classification_raises(monkeypatch):
@@ -497,13 +499,19 @@ def test_primes_at_the_carrier_cap(capsys):
 
 def test_engine_and_oracles_do_not_use_the_leaf_gathers():
     # classify and is_quantale_hom read whole tables as byte strings of pair
-    # codes, join_extension through core.gather, and the closure and ideal
-    # products through slice_images; the engine whose leaves they re-check,
-    # the raw oracles and the raw ideal routes that check the closure must
-    # not, or one fault there could hide in both
+    # codes through osr.recheck, join_extension through core.gather, and the
+    # closure and ideal products through slice_images; the engine whose
+    # leaves they re-check, the raw oracles and the raw ideal routes that
+    # check the closure must not, or one fault there could hide in both
     leaf_names = {"gather", "image", "gathers", "member_gathers", "order_pairs"}
-    leaf_names |= {"translate", "slice_images", "flat", "codes", "value_batches"}
-    leaf_names |= {"pair_codes", "BlockCodes", "each_equal", "each_true", "each_within"}
+    leaf_names |= {"translate", "slice_images", "recheck"}
+    leaf_names |= {
+        name
+        for name, value in vars(osr.recheck).items()
+        if getattr(value, "__module__", None) == "osr.recheck"
+        and not name.startswith("_")
+    }
+    assert {"law_columns", "pair_codes", "BatchSides", "each_true"} <= leaf_names
     raw_routes = (osr.ideals.is_ideal, osr.ideals.generated_ideal_by_sums)
     raw_routes += (osr.ideals.product_set,)
     sources = [Path(osr.search.__file__).read_text()]
@@ -519,3 +527,34 @@ def test_engine_and_oracles_do_not_use_the_leaf_gathers():
             elif isinstance(node, ast.alias):
                 names.update(node.name.split("."))
         assert not names & leaf_names, source.splitlines()[0]
+
+
+def _imports(path) -> set[str]:
+    """The last name of every module a source file imports, and of every
+    package module it imports by name (``from . import x``)."""
+    out = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                out.add(node.module.split(".")[-1])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[-1] for alias in node.names)
+    return out
+
+
+def test_the_recheck_module_reads_the_data_model_only():
+    # the re-check is the one module that builds or reads byte lanes; the
+    # engine whose leaves it re-checks and the oracles do not import it,
+    # and it imports none of the modules whose results it checks
+    assert "recheck" not in _imports(osr.search.__file__)
+    assert "recheck" not in _imports(Path(__file__).with_name("oracle.py"))
+    checked = {"search", "ideals", "morphisms", "homs", "analysis"}
+    assert not checked & _imports(osr.recheck.__file__)
+    assert {"core", "errors"} <= _imports(osr.recheck.__file__)
+    moved = {"BatchSides", "BlockCodes", "pair_codes", "value_batches", "_flat"}
+    moved |= {"each_equal", "each_true", "each_within", "_code_tables", "_BYTES"}
+    assert not moved & set(vars(osr.core))
+    for cls in (osr.FiniteOrderedSemiring, osr.FiniteLattice):
+        assert not {"flat", "codes"} & set(dir(cls))
