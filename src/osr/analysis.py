@@ -4,7 +4,8 @@ An ``Analysis`` is made for one ``run_checks`` call or one CLI command.  It
 keeps what it derives from its semiring: the structures below, every ideal
 closure (``close``) and radical closure (``radical``), the product
 ``<<S><T>>`` of each pair of closed masks that
-``ideals.check_product_of_generators`` multiplied, every
+``ideals.check_product_of_generators`` multiplied (one dict, read in
+that check's one loop over a verdict's pairs), every
 universal-property result (``universality``) and the subadditive morphisms
 those results compare against, one list per target semiring and zero-axiom
 variant, each with the failure its build raised, if any.  All of it dies

@@ -28,7 +28,7 @@ from .errors import (
     UniversalityFailure,
 )
 from .morphisms import MorphismTable, checked_search
-from .recheck import law_columns
+from .recheck import fit_lanes, law_columns
 
 if TYPE_CHECKING:
     from .ideals import IdealLattice
@@ -54,10 +54,13 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[tuple[in
     bottom and unit pinned, monotonicity, and preservation of binary joins
     and products as constraints.  The value tables it finds are re-verified
     by one call of ``is_quantale_hom``; the first that fails raises
-    InternalMismatch.
+    InternalMismatch.  A lattice that ``is_quantale_hom`` could not read is
+    refused with SizeLimit before the search is bound (``recheck.fit_lanes``),
+    even where the search would find no maps.
     """
     if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
         raise NotAQuantale("both lattices must carry a multiplication")
+    fit_lanes(L, Q)
 
     def recheck(found: list) -> list[tuple[int, ...]]:
         for values, ok in zip(found, is_quantale_hom(L, Q, found)):

@@ -11,7 +11,13 @@ returns the carrier as soon as its mask meets the semiring's
 two subsets (``_products``) are read four columns at a time from the
 semiring's ``slice_images``, which hold the image of every subset of each
 four-element slice under each row of ``add`` and ``mul`` (the Method of
-Four Russians).  The explicit bounded-sum formula is kept alongside as an
+Four Russians).  The product table of the ideal quantale is read the same
+way a column at a time: ``_column`` gives the products ``x*J`` of every
+element with one ideal ``J``, and the entry ``I.J`` is the OR of that
+column over the members of ``I``, closed once per distinct product set.
+``check_product_of_generators`` takes a verdict's whole list of subset
+pairs and checks them in one loop over the analysis's memos.
+The explicit bounded-sum formula is kept alongside as an
 independent oracle that, like ``is_ideal``, reads only the raw tables,
 never ``full_generators`` or the slices, and the two are compared by
 the verification suite.
@@ -236,18 +242,31 @@ def ideal_product(A: Source, I: Ideal, J: Ideal) -> Ideal:
     return generated_ideal(an, _products(A, I.mask, J.mask))
 
 
+def _slice_entries(mask: int) -> list[int]:
+    """The ``slice_images`` entry of each four-element slice of the carrier
+    that the subset meets: ``16 * k`` plus the subset's bits in slice ``k``."""
+    entries = []
+    k = 0
+    while mask:
+        if mask & 15:
+            entries.append(k | mask & 15)
+        mask >>= 4
+        k += 16
+    return entries
+
+
 def _products(A: FiniteOrderedSemiring, s_mask: int, t_mask: int) -> int:
     """Mask of every product ``s*t`` with ``s`` in one subset, ``t`` in the
     other: the OR of the ``mul`` images of ``t_mask`` under each row ``s``."""
     images = A.slice_images[1]
-    entries = []  # the entry of each slice that t_mask meets
-    k = 0
-    while t_mask:
-        if t_mask & 15:
-            entries.append(k | t_mask & 15)
-        t_mask >>= 4
-        k += 16
     out = 0
+    if t_mask < 16:  # inside the first slice: one entry per row
+        while s_mask:
+            low = s_mask & -s_mask
+            out |= images[low.bit_length() - 1][t_mask]
+            s_mask ^= low
+        return out
+    entries = _slice_entries(t_mask)
     while s_mask:
         low = s_mask & -s_mask
         row = images[low.bit_length() - 1]
@@ -257,25 +276,50 @@ def _products(A: FiniteOrderedSemiring, s_mask: int, t_mask: int) -> int:
     return out
 
 
-def check_product_of_generators(A: Source, S: Members, T: Members) -> bool:
-    """Does <S> . <T> equal the ideal generated by the pairwise products?
+def _column(A: FiniteOrderedSemiring, t_mask: int) -> list[int]:
+    """The mask of every product ``x*t`` with ``t`` in the subset, for each
+    element ``x``: the ``mul`` image of ``t_mask`` under each row, one
+    ``slice_images`` entry per slice it meets."""
+    images = A.slice_images[1]
+    entries = _slice_entries(t_mask)
+    out = []
+    for row in images:
+        image = 0
+        for i in entries:
+            image |= row[i]
+        out.append(image)
+    return out
 
-    Every closure is read through the analysis, and so is ``<<S><T>>``,
-    kept per pair of closed masks: a run over many pairs closes each
-    distinct subset once and multiplies each distinct pair of ideals once.
-    Two int masks, as the report's samples are, are checked against the
+
+def check_product_of_generators(A: Source, pairs: Sequence[tuple]) -> list[bool]:
+    """Whether <S> . <T> equals the ideal generated by the pairwise
+    products, for each pair ``(S, T)`` of ``pairs``, in order.
+
+    The report's verdict makes one call per instance.  One loop over the
+    pairs closes every subset through the analysis, so each distinct
+    subset is closed once, and keeps ``<<S><T>>`` in the analysis per pair
+    of closed masks, so each distinct pair of ideals is multiplied once.
+    Both product sets are read by ``_products``, the one-pair route.  Two
+    int masks, as the report's samples are, are checked against the
     carrier in one test; anything else goes through ``as_mask``.
     """
     an = analysis(A)
-    A, close, kept = an.owner, an.close, an._built
-    if type(S) is int and type(T) is int and 0 <= S | T <= A.full_mask:
-        s_mask, t_mask = S, T  # two masks inside the carrier, checked at once
-    else:
-        s_mask, t_mask = as_mask(A, S), as_mask(A, T)
-    key = ("product", close(s_mask), close(t_mask))
-    if key not in kept:
-        kept[key] = close(_products(A, key[1], key[2]))
-    return kept[key] == close(_products(A, s_mask, t_mask))
+    A, close = an.owner, an.close
+    full, n = A.full_mask, A.n
+    kept = an._built.setdefault("products", {})  # by cs << n | ct
+    out = []
+    for S, T in pairs:
+        if type(S) is int and type(T) is int and 0 <= S | T <= full:
+            s_mask, t_mask = S, T  # two masks inside the carrier, checked at once
+        else:
+            s_mask, t_mask = as_mask(A, S), as_mask(A, T)
+        cs, ct = close(s_mask), close(t_mask)
+        key = cs << n | ct
+        lhs = kept.get(key)
+        if lhs is None:
+            lhs = kept[key] = close(_products(A, cs, ct))
+        out.append(lhs == close(_products(A, s_mask, t_mask)))
+    return out
 
 
 class IdealLattice(Record):
@@ -354,6 +398,13 @@ def enumerate_ideals(A: Source) -> IdealLattice:
     carrier as unit, distribution over binary joins -- are then checked
     exhaustively over the ideal indices.  Every closure reads the analysis,
     so each distinct subset is closed once.
+
+    The product table is built from one ``_column`` per ideal ``J``: the
+    entry ``(I, J)`` is the OR of ``J``'s column over ``I``'s members, and
+    each distinct product set is closed once, by ``generated_ideal``, and
+    looked up among the ideals.  Every ordered pair is computed, none
+    mirrored, so ``lattice_from_order``'s commutativity check tests the
+    products.
     """
     an = analysis(A)
     A, close = an.owner, an.close
@@ -382,19 +433,28 @@ def enumerate_ideals(A: Source) -> IdealLattice:
             )
 
     index = {m: i for i, m in enumerate(masks)}
-    ideals = [Ideal(A, m) for m in masks]
-
-    def product_index(I: Ideal, J: Ideal) -> int:
-        K = ideal_product(an, I, J)
-        if K.mask not in index:
-            raise InternalMismatch(
-                f"{I.label}.{J.label} = {K.label} is not among the enumerated "
-                f"ideals of {A.name}"
-            )
-        return index[K.mask]
-
-    product = tuple(tuple(product_index(I, J) for J in ideals) for I in ideals)
-    return ideal_lattice(A, "ideals", masks, close, product)
+    columns = [_column(A, m) for m in masks]
+    found = {}  # the index of the closure of each distinct product set
+    product = []
+    for s_mask in masks:
+        members = tuple(bits(s_mask))
+        row = []
+        for t_mask, column in zip(masks, columns):
+            p = 0
+            for x in members:
+                p |= column[x]
+            k = found.get(p)
+            if k is None:
+                K = generated_ideal(an, p)
+                if K.mask not in index:
+                    raise InternalMismatch(
+                        f"{A.set_label(s_mask)}.{A.set_label(t_mask)} = {K.label} "
+                        f"is not among the enumerated ideals of {A.name}"
+                    )
+                k = found[p] = index[K.mask]
+            row.append(k)
+        product.append(tuple(row))
+    return ideal_lattice(A, "ideals", masks, close, tuple(product))
 
 
 def canonical_embedding(A: Source) -> MorphismTable:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .core import FiniteOrderedSemiring
 from .errors import EndpointMismatch, InternalMismatch, SizeLimit
-from .recheck import law_columns
+from .recheck import fit_lanes, law_columns
 from .search import forward_search
 
 
@@ -163,8 +163,11 @@ def _search(
     (``mul_equal``) or submultiplicativity f(xy) <= f(x)f(y).  The maps
     found are reclassified exhaustively by one call of ``classify``; if
     ``keep`` rejects one, the first such raises InternalMismatch instead of
-    being dropped.
+    being dropped.  A source or target that ``classify`` could not read
+    is refused with SizeLimit before the search is bound
+    (``recheck.fit_lanes``), even where the search would find no maps.
     """
+    fit_lanes(A, B)
 
     def recheck(found: list) -> list[MorphismTable]:
         tables = classify(A, B, found)

@@ -18,7 +18,7 @@ and each law is one comparison for the whole batch, read map by map only
 where it fails.  A structure's byte forms are built on its first re-check
 and kept in its ``__dict__``, as a ``cached_property`` would be, as long as
 it lives.  They hold structures of at most 256 elements; a larger one is
-refused with SizeLimit.
+refused with SizeLimit (``fit_lanes``), by the searches before they bind.
 """
 
 from __future__ import annotations
@@ -188,13 +188,23 @@ def _refusal(S, T, maps: Sequence) -> EndpointMismatch:
     return EndpointMismatch(f"value array {size} does not map {S.name} into {T.name}")
 
 
+def fit_lanes(*structures) -> None:
+    """Refuse with SizeLimit the first of ``structures`` whose elements do
+    not fit in one byte each.  The searches call this before they bind, so
+    that a search whose maps could not be re-checked is never run."""
+    for S in structures:
+        if S.n > 256:
+            raise SizeLimit(
+                f"leaf check: {S.name} has {S.n} elements; byte lanes hold 256"
+            )
+
+
 def _laws(S) -> tuple:
     """``S`` as its size, two operation tables and two constants: ``add``,
     ``mul``, ``zero`` and ``one`` of a semiring, and ``join``, ``mul``,
     ``bottom`` and ``unit`` of a quantale, the tables row-major as bytes.
     A structure whose elements do not fit in one byte each is refused."""
-    if S.n > 256:
-        raise SizeLimit(f"leaf check: {S.name} has {S.n} elements; byte lanes hold 256")
+    fit_lanes(S)
     if isinstance(S, FiniteLattice):
         ops, constants = (S.join, S.mul), (S.bottom, S.unit)
     else:

@@ -182,8 +182,9 @@ def _oracle_equivalence(an: Analysis) -> None:
 
 def _product_of_generators(an: Analysis) -> None:
     A = an.owner
-    for s, t in _samples(A.n, SAMPLES, 2):
-        if not check_product_of_generators(an, s, t):
+    pairs = _samples(A.n, SAMPLES, 2)
+    for (s, t), ok in zip(pairs, check_product_of_generators(an, pairs)):
+        if not ok:
             raise InternalMismatch(
                 f"{A.name}: <S><T> != <ST> at S={A.set_label(s)}, "
                 f"T={A.set_label(t)}"

@@ -208,7 +208,7 @@ def test_criterion_09_generation_oracles_random():
             A = rng.choice(family)
             s = rng.randrange(1 << A.n)
             t = rng.randrange(1 << A.n)
-            assert check_product_of_generators(A, s, t)
+            assert check_product_of_generators(A, [(s, t)]) == [True]
 
 
 def test_criterion_10_morphism_ideal_correspondences():

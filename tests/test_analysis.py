@@ -22,6 +22,7 @@ from osr.builders import from_builder_spec
 from osr.cli import main
 from osr.ideals import (
     _close,
+    _column,
     _products,
     check_product_of_generators,
     generated_ideal,
@@ -98,13 +99,24 @@ def test_structure_failure_becomes_failed_verdicts(monkeypatch, capsys):
     assert payload["counts"]["primes"] is None
 
 
-def test_broken_ideal_quantale_becomes_failed_verdicts(monkeypatch, capsys):
-    def drop_top_bit(A, s, t):
-        out = _products(A, s, t)
-        return out & ~(1 << (out.bit_length() - 1)) if out else out
+def _drop_top_bit(out: int) -> int:
+    return out & ~(1 << (out.bit_length() - 1)) if out else out
 
+
+def _break_products(monkeypatch):
+    """Products of subsets lose their top element, both the pair products
+    and the product columns of the ideal table."""
+    monkeypatch.setattr(
+        osr.ideals, "_products", lambda A, s, t: _drop_top_bit(_products(A, s, t))
+    )
+    monkeypatch.setattr(
+        osr.ideals, "_column", lambda A, t: list(map(_drop_top_bit, _column(A, t)))
+    )
+
+
+def test_broken_ideal_quantale_becomes_failed_verdicts(monkeypatch, capsys):
     # ideal products lose an element: the ideal tables are no quantale
-    monkeypatch.setattr(osr.ideals, "_products", drop_top_bit)
+    _break_products(monkeypatch)
 
     report = run_checks(osr.build_zmod(6))
     assert tuple(v.check for v in report.verdicts) == CHECK_NAMES
@@ -120,13 +132,9 @@ def test_broken_ideal_quantale_becomes_failed_verdicts(monkeypatch, capsys):
 
 
 def test_target_stock_is_not_built_by_the_code_under_test(monkeypatch):
-    def drop_top_bit(A, s, t):
-        out = _products(A, s, t)
-        return out & ~(1 << (out.bit_length() - 1)) if out else out
-
     # a fresh stock, built while ideal products are broken
     quantale_targets.cache_clear()
-    monkeypatch.setattr(osr.ideals, "_products", drop_top_bit)
+    _break_products(monkeypatch)
     try:
         verdicts = {v.check: v for v in run_checks(osr.build_zmod(6)).verdicts}
     finally:
@@ -262,7 +270,7 @@ def test_second_run_recomputes_everything(monkeypatch):
 
 def test_instance_structures_die_with_their_analysis():
     an = Analysis(osr.build_zmod(6))
-    check_product_of_generators(an, 0b10, 0b100)
+    check_product_of_generators(an, [(0b10, 0b100)])
     for Q in quantale_targets():
         osr.check_quantale_universality(an, Q)
     osr.check_coherence(an)
@@ -290,7 +298,7 @@ def test_memoized_product_check_matches_direct_closures(monkeypatch):
         pairs = [(s, t) for s in range(1 << A.n) for t in range(1 << A.n)]
         an = Analysis(A)
         before = len(closes)
-        memoized = [check_product_of_generators(an, s, t) for s, t in pairs]
+        memoized = check_product_of_generators(an, pairs)
         # the memo is filled by _close alone, once per distinct mask
         assert len(closes) - before == len(an._closures)
         assert an._closures == {m: _close(A, m) for m in an._closures}
@@ -298,7 +306,7 @@ def test_memoized_product_check_matches_direct_closures(monkeypatch):
             direct = ideal_product(
                 A, generated_ideal(A, s), generated_ideal(A, t)
             ).mask == generated_ideal(A, _products(A, s, t)).mask
-            assert got == check_product_of_generators(A, s, t) == direct
+            assert [got] == check_product_of_generators(A, [(s, t)]) == [direct]
 
 
 def test_product_memo_does_not_hide_a_fault(monkeypatch):

@@ -7,11 +7,13 @@ import pytest
 
 import osr
 import osr.homs
+import osr.ideals
 import osr.spectrum
 from osr.core import FiniteOrderedSemiring
 from osr.report import run_checks
 
 # the real functions, taken before any row replaces them
+column = osr.ideals._column
 enumerate_quantale_homs = osr.homs.enumerate_quantale_homs
 enumerate_primes = osr.spectrum.enumerate_primes
 enumerate_maximal = osr.spectrum.enumerate_maximal
@@ -91,3 +93,24 @@ def test_every_reflection_target_is_checked(monkeypatch, spec):
     monkeypatch.setattr(osr.homs, "enumerate_quantale_homs", drop_a_grid_hom)
     failed = {v.check for v in run_checks(A).verdicts if not v.passed}
     assert failed == {"coherence-iso", "dlat-presentation"}
+
+
+@pytest.mark.parametrize("spec", ["zmod:6", "chain:4", "bool:3", "zmod:12"])
+def test_a_column_that_loses_an_element_fails_the_quantale(monkeypatch, spec):
+    # the product column of the least ideal above the bottom loses its last
+    # member: every product with that ideal misses it, the unit law with them
+    A = osr.from_builder_spec(spec)
+    ideal = osr.enumerate_ideals(A).ideals[1]
+    lost = ~(1 << ideal.members[-1])
+
+    def lossy(B, t_mask):
+        images = column(B, t_mask)
+        if B is A and t_mask == ideal.mask:
+            return [m & lost for m in images]
+        return images
+
+    monkeypatch.setattr(osr.ideals, "_column", lossy)
+    report = run_checks(A)  # an exception here is an aborted report
+    assert len(report.verdicts) == 14
+    failed = {v.check for v in report.verdicts if not v.passed}
+    assert "idl-quantale-axioms" in failed, failed

@@ -23,11 +23,19 @@ from osr import (
     two,
 )
 from osr.core import bits
-from osr.errors import LabelError, NotIntegral, NotSubadditive, OwnerMismatch
+from osr.errors import (
+    InternalMismatch,
+    LabelError,
+    NotIntegral,
+    NotSubadditive,
+    OwnerMismatch,
+)
 from osr.ideals import Ideal, product_set
 from osr.morphisms import classify
 
 from .oracle import ideal_masks_bruteforce
+from .test_kernels import f2xy
+from .test_law_kernels import square_zero_maxplus
 
 
 def labels_of(A, mask):
@@ -208,6 +216,54 @@ def test_sliced_products_match_the_pair_loop(spec):
         assert osr.ideals._products(A, s, t) == want
 
 
+def test_the_column_table_is_the_pairwise_product(family6):
+    # enumerate_ideals reads one product column per ideal; each entry must
+    # be the closure of the pairwise products, the one-pair route
+    sources = list(family6)
+    for spec in ("chain:24", "zmod:24", "dualq:24", "truncnat:23", "maxplus:22"):
+        sources.append(osr.from_builder_spec(spec))
+    sources += [f2xy(), square_zero_maxplus(7)]  # 16 elements; 129 ideals
+    for A in sources:
+        iq = enumerate_ideals(A)
+        masks = [I.mask for I in iq.ideals]
+        closed = {}
+        want = []
+        for s in masks:
+            row = []
+            for t in masks:
+                p = osr.ideals._products(A, s, t)
+                if p not in closed:
+                    closed[p] = iq.index_of(osr.ideals._close(A, p))
+                row.append(closed[p])
+            want.append(tuple(row))
+        assert iq.lattice.mul == tuple(want), A.name
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("zmod:6", "{0,1,2,3,4,5}.{0,1,2,3,4,5} = {0,1,2,3,4} is not among "
+         "the enumerated ideals of zmod6"),
+        ("truncnat:4", "{0,1,2,3,4}.{0,1,2,3,4} = {0,1,2,3} is not among "
+         "the enumerated ideals of truncnat4"),
+    ],
+)
+def test_a_product_outside_the_ideals_names_its_pair(monkeypatch, spec, message):
+    # the closure of a product set that is the whole carrier loses its last
+    # element, so the product of the carrier with itself is no ideal
+    generated = osr.ideals.generated_ideal
+
+    def lossy(A, members):
+        I = generated(A, members)
+        full = I.owner.full_mask
+        return I._replace(mask=full >> 1) if I.mask == full else I
+
+    monkeypatch.setattr(osr.ideals, "generated_ideal", lossy)
+    with pytest.raises(InternalMismatch) as exc:
+        enumerate_ideals(osr.from_builder_spec(spec))
+    assert str(exc.value) == message
+
+
 def test_ideal_join():
     z6 = osr.build_zmod(6)
     iq = enumerate_ideals(z6)
@@ -238,14 +294,16 @@ def test_ideal_product_examples():
 def test_product_of_generators():
     z12 = osr.build_zmod(12)
     s, t = mask_of(z12, {"2"}), mask_of(z12, {"3"})
-    assert check_product_of_generators(z12, s, t)
+    assert check_product_of_generators(z12, [(s, t)]) == [True]
     prod = ideal_product(
         z12, generated_ideal(z12, s), generated_ideal(z12, t)
     )
     assert labels_of(z12, prod.mask) == {"0", "6"}
     z6 = osr.build_zmod(6)
-    assert check_product_of_generators(z6, 0, mask_of(z6, {"3"}))
-    assert check_product_of_generators(z6, mask_of(z6, {"2", "3"}), mask_of(z6, {"3"}))
+    assert check_product_of_generators(z6, [(0, mask_of(z6, {"3"}))]) == [True]
+    assert check_product_of_generators(
+        z6, [(mask_of(z6, {"2", "3"}), mask_of(z6, {"3"}))]
+    ) == [True]
 
 
 def test_quantale_tables_verified(family8):

@@ -12,10 +12,14 @@ exception class and message.
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import osr
+import osr.morphisms
+import osr.osrfile
+import osr.search
 from osr.core import (
     FiniteLattice,
     RawSemiringDescription,
@@ -491,29 +495,41 @@ def test_is_distributive_matches_the_loops_on_every_small_lattice():
 # --- no size limit ----------------------------------------------------------------
 
 
-def square_zero_maxplus():
-    """0 < a1 < ... < a8 < 1 with max as sum, every product of two a's
-    zero, 1 the unit and the discrete order: its ideals are {0} with any
-    set of a's, and the whole carrier -- 257 of them."""
-    lab = ("0", *(f"a{i}" for i in range(1, 9)), "1")
+def square_zero_description(nilpotents=8):
+    """0 < a1 < ... < ak < 1 (k nilpotents) with max as sum, every product
+    of two a's zero, 1 the unit and the discrete order: its ideals are {0}
+    with any set of a's, and the whole carrier -- 2^k + 1 of them."""
+    k = nilpotents
+    lab = ("0", *(f"a{i}" for i in range(1, k + 1)), "1")
 
     def mul(i, j):
-        return j if i == 9 else i if j == 9 else 0
+        return j if i == k + 1 else i if j == k + 1 else 0
 
     def table(op):
-        return tuple(tuple(lab[op(i, j)] for j in range(10)) for i in range(10))
+        return tuple(tuple(lab[op(i, j)] for j in range(k + 2)) for i in range(k + 2))
 
-    return validate(
-        RawSemiringDescription(
-            name="sqzero8",
-            elements=lab,
-            le="discrete",
-            zero="0",
-            one="1",
-            add_table=table(max),
-            mul_table=table(mul),
-        )
+    return RawSemiringDescription(
+        name=f"sqzero{k}",
+        elements=lab,
+        le="discrete",
+        zero="0",
+        one="1",
+        add_table=table(max),
+        mul_table=table(mul),
     )
+
+
+def square_zero_maxplus(nilpotents=8):
+    """``square_zero_description``, validated: with 8 nilpotents, 10
+    elements and 257 ideals."""
+    return validate(square_zero_description(nilpotents))
+
+
+def test_the_sqzero8_file_is_the_test_builder_rendered():
+    # the CI step that runs osr on the file pins README's limit sentence
+    path = Path(__file__).parent / "data" / "sqzero8.osr"
+    assert path.read_text() == osr.osrfile.render(square_zero_description())
+    assert osr.osrfile.parse_file(str(path)) == square_zero_description()
 
 
 @pytest.fixture(scope="module")
@@ -536,3 +552,34 @@ def test_the_leaf_check_refuses_a_quantale_of_257_ideals(ideals_257):
     assert str(exc.value) == (
         "leaf check: ideals(sqzero8) has 257 elements; byte lanes hold 256"
     )
+
+
+def test_searches_refuse_257_elements_before_they_are_bound(ideals_257, monkeypatch):
+    # the re-check could not read the maps, so no search is bound or walked;
+    # the recorder emits no map: a search that would find none is refused too
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+
+    monkeypatch.setattr(osr.search, "forward_search", recorder)
+    monkeypatch.setattr(osr.morphisms, "forward_search", recorder)
+    L, two, chain2 = ideals_257.lattice, osr.two(), osr.chain_frame(2)
+    # the semiring of the quantale, unvalidated: validate caps carriers at 24
+    S = osr.FiniteOrderedSemiring(
+        f"osr({L.name})", L.labels, L.leq, L.bottom, L.unit, L.join, L.mul
+    )
+    for search, name in (
+        (lambda: osr.enumerate_quantale_homs(L, chain2), L.name),
+        (lambda: osr.enumerate_quantale_homs(chain2, L), L.name),
+        (lambda: osr.enumerate_subadditive(S, two), S.name),
+        (lambda: osr.enumerate_sub_submul(two, S), S.name),
+    ):
+        with pytest.raises(SizeLimit) as exc:
+            search()
+        assert str(exc.value) == (
+            f"leaf check: {name} has 257 elements; byte lanes hold 256"
+        )
+    assert calls == []
+    for big in (L, S):
+        assert not {"search_source", "search_target"} & set(vars(big))

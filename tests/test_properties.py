@@ -52,7 +52,7 @@ def test_fixed_point_equals_sum_formula(case):
 @given(instance_and_mask(masks=2))
 def test_product_of_generated_ideals(case):
     A, s, t = case
-    assert check_product_of_generators(A, s, t)
+    assert check_product_of_generators(A, [(s, t)]) == [True]
 
 
 @given(instance_and_mask())
