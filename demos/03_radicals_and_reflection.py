@@ -23,22 +23,28 @@ print("radical ideals:", [I.label for I in enumerate_radical_ideals(z4).ideals])
 # with a nilpotent middle element.
 Q = osr.nilpotent_chain_quantale()
 sp = semiprime_elements(Q)
-print("semiprimes of", Q.name, "->", [Q.labels[m] for m in sp.members])
-print("reflector:", {Q.labels[q]: Q.labels[sp.radical_of[q]] for q in range(Q.n)})
+print("semiprimes of", Q.name, "->", [Q.labels[m] for m in sp])
+# the reflector sends each element to the least semiprime above it
+radical_of = [Q.meet_of(p for p in sp if Q.le(q, p)) for q in range(Q.n)]
+print("reflector:", {Q.labels[q]: Q.labels[r] for q, r in enumerate(radical_of)})
 
-# The distributive reflection of mod 4 collapses to a two-chain: squares
-# erase the difference between 0 and 2, and between 1 and 3.
-refl = distributive_reflection(z4)
-print("reflection size:", refl.lattice.n)
-for x in range(z4.n):
-    print(f"  {z4.labels[x]} |-> {refl.lattice.labels[refl.universal_map[x]]}")
+# The distributive reflection is the radical frame with x |-> sqrt<x>;
+# distributive_reflection checks its universal property (it raises if the
+# check fails).  Mod 4 it collapses to a two-chain: squares erase the
+# difference between 0 and 2, and between 1 and 3.
+an = osr.Analysis(z4)
+distributive_reflection(an)
+L = an.radicals.lattice
+print("reflection size:", L.n)
+for x, r in enumerate(an.radical_principal):
+    print(f"  {z4.labels[x]} |-> {L.labels[r]}")
 
 # A Boolean ring reflects onto its Boolean algebra with the identity
 # carrier map: symmetric difference is forgotten, meets survive.
 b2 = osr.build_boolean_ring(2)
-refl2 = distributive_reflection(b2)
-print(b2.name, "reflects onto", refl2.lattice.name,
-      "with", refl2.lattice.n, "elements")
+distributive_reflection(b2)
+L2 = enumerate_radical_ideals(b2).lattice
+print(b2.name, "reflects onto", L2.name, "with", L2.n, "elements")
 
 # Coherence at finite scale: the radical frame is the ideal frame of the
 # reflection, by the explicit downset isomorphism (the check raises if not).
@@ -47,5 +53,4 @@ check_coherence(z6)
 print("radical ideals of", z6.name, "= ideals of its reflection:",
       len(enumerate_radical_ideals(z6)))
 print("ideals of the reflection match:",
-      len(enumerate_ideals(osr.build_from_quantale(refl2.lattice)).ideals)
-      == refl2.lattice.n)
+      len(enumerate_ideals(osr.build_from_quantale(L2)).ideals) == L2.n)

@@ -25,7 +25,7 @@ for lab, mask in spec.basis:
 
 # A chain produces the Sierpinski space: one prime specializes the other.
 chain3 = osr.build_chain_lattice(3)
-print(spectrum_space(chain3), "sober:", check_sober(spectrum_space(chain3)).sober)
+print(spectrum_space(chain3), "sober:", check_sober(spectrum_space(chain3)) is None)
 
 # Points of the radical frame (through meet-prime elements) recover the
 # same space; the homeomorphism is literally the identity on member sets.

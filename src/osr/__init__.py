@@ -72,8 +72,6 @@ from .morphisms import (
     enumerate_subadditive,
 )
 from .radicals import (
-    ReflectionResult,
-    SemiprimeReflection,
     check_coherence,
     check_frame_universality,
     check_radical_equals_semiprime,

@@ -1,11 +1,12 @@
 """The structures of one ordered semiring, each built once.
 
 An ``Analysis`` is made for one ``run_checks`` call or one CLI command.  It
-keeps what it derives from its semiring: the structures below, every ideal
-closure (``close``) and radical closure (``radical``), the product
-``<<S><T>>`` of each pair of closed masks that
-``ideals.check_product_of_generators`` multiplied (one dict, read in
-that check's one loop over a verdict's pairs), every
+keeps what it derives from its semiring: the structures below, the
+distributive reflection's check (``reflection``, whose lattice and map are
+``radicals`` and ``radical_principal``), every ideal closure (``close``)
+and radical closure (``radical``), the product ``<<S><T>>`` of each pair
+of closed masks that ``ideals.check_product_of_generators`` multiplied
+(one dict, read in that check's one loop over a verdict's pairs), every
 universal-property result (``universality``) and the subadditive morphisms
 those results compare against, one list per target semiring and zero-axiom
 variant, each with the failure its build raised, if any.  All of it dies
@@ -30,7 +31,6 @@ if TYPE_CHECKING:
     from .core import FiniteLattice
     from .ideals import Ideal, IdealLattice
     from .morphisms import MorphismTable
-    from .radicals import ReflectionResult
     from .spectrum import FiniteTopSpace
 
 
@@ -147,7 +147,9 @@ class Analysis:
         return spectrum_space(self)
 
     @_structure
-    def reflection(self) -> "ReflectionResult":
+    def reflection(self) -> None:
+        """The distributive reflection's check, run once: the reflection is
+        ``radicals`` with the map ``radical_principal``."""
         from .radicals import distributive_reflection
 
         return distributive_reflection(self)

@@ -130,22 +130,17 @@ def _cmd_pt(args) -> int:
 
 def _cmd_reflect(args) -> int:
     A = _load(args)
-    refl = Analysis(A).reflection
+    an = Analysis(A)
+    an.reflection  # verified first: the reflection is the radical frame
+    L = an.radicals.lattice
+    images = [L.labels[i] for i in an.radical_principal]
     payload = {
         "name": A.name,
-        "lattice_size": refl.lattice.n,
-        "universal_map": {
-            A.labels[x]: refl.lattice.labels[refl.universal_map[x]]
-            for x in range(A.n)
-        },
+        "lattice_size": L.n,
+        "universal_map": dict(zip(A.labels, images)),
     }
-    human = [
-        f"distributive reflection of {A.name}: {refl.lattice.n} elements"
-    ]
-    human.extend(
-        f"{A.labels[x]} -> {refl.lattice.labels[refl.universal_map[x]]}"
-        for x in range(A.n)
-    )
+    human = [f"distributive reflection of {A.name}: {L.n} elements"]
+    human.extend(f"{a} -> {image}" for a, image in zip(A.labels, images))
     _emit(args, payload, "\n".join(human) + "\n")
     return EXIT_OK
 

@@ -16,9 +16,11 @@ TARGETS = ("idl", "rad", "spec")
 
 
 def _digraph(kind: str, labels, covers) -> str:
+    # a label may hold '"', which a DOT string escapes; nothing else needs it
+    names = ['"' + lab.replace('"', '\\"') + '"' for lab in labels]
     lines = [f"digraph {kind} {{", "  rankdir=BT;"]
-    lines.extend(f'  "{lab}";' for lab in labels)
-    lines.extend(f'  "{labels[i]}" -> "{labels[j]}";' for i, j in covers)
+    lines.extend(f"  {name};" for name in names)
+    lines.extend(f"  {names[i]} -> {names[j]};" for i, j in covers)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

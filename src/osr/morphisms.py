@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .core import FiniteOrderedSemiring
 from .errors import EndpointMismatch, InternalMismatch, SizeLimit
@@ -230,45 +230,30 @@ def compose(f: MorphismTable, g: MorphismTable) -> MorphismTable:
     return classify(f.source, g.target, [tuple(g.values[v] for v in f.values)])[0]
 
 
-class HomomorphismCriteria(NamedTuple):
-    """Outcome of the sufficient-conditions check for forced homomorphisms."""
-
-    target_discrete: bool
-    join_induced: bool  # 0 <= x for all x in A, and B's addition is its join
-    applies: bool
-    morphisms_checked: int
-
-
 def check_homomorphism_criteria(
     A: FiniteOrderedSemiring, B: FiniteOrderedSemiring
-) -> HomomorphismCriteria:
+) -> Optional[int]:
     """Check the two conditions forcing subadditive morphisms to be homs.
 
     Condition 1: B is discretely ordered.  Condition 2: the zero of A is a
     least element and B's addition is the join of its order (idempotent,
     with x <= y exactly when x + y = y).  When either holds, every
     enumerated subadditive morphism A -> B must carry the homomorphism
-    flag; a counterexample raises InternalMismatch.
+    flag, and the number checked is returned; a counterexample raises
+    InternalMismatch.  When neither holds, returns None.
     """
-    cond1 = B.is_discrete
     zero_least = all(A.le(A.zero, x) for x in range(A.n))
     join_induced = all(B.add[x][x] == x for x in range(B.n)) and all(
         B.le(x, y) == (B.add[x][y] == y) for x in range(B.n) for y in range(B.n)
     )
-    cond2 = zero_least and join_induced
-    applies = cond1 or cond2
+    if not (B.is_discrete or zero_least and join_induced):
+        return None
     checked = 0
-    if applies:
-        for table in enumerate_subadditive(A, B):
-            checked += 1
-            if not table.is_homomorphism:
-                raise InternalMismatch(
-                    f"subadditive morphism {list(table.values)} from {A.name} "
-                    f"to {B.name} is not a homomorphism"
-                )
-    return HomomorphismCriteria(
-        target_discrete=cond1,
-        join_induced=cond2,
-        applies=applies,
-        morphisms_checked=checked,
-    )
+    for table in enumerate_subadditive(A, B):
+        checked += 1
+        if not table.is_homomorphism:
+            raise InternalMismatch(
+                f"subadditive morphism {list(table.values)} from {A.name} "
+                f"to {B.name} is not a homomorphism"
+            )
+    return checked

@@ -14,12 +14,16 @@ equivalence exhaustively.  Both frames are built by
 ``core.subset_lattice``: the radical ideals as carrier subsets closed by
 ``radical_closure``, the semiprime elements as their principal downsets
 closed by the reflector.
+
+The distributive reflection is the radical frame itself, with the map
+``x -> radical of <x>``; ``distributive_reflection`` verifies that it is
+and returns nothing, and the frame and the map are read from the analysis
+(``radicals`` and ``radical_principal``).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
 
 from .analysis import Source, analysis
 from .core import (
@@ -95,16 +99,9 @@ def enumerate_radical_ideals(A: Source) -> IdealLattice:
     return rad
 
 
-class SemiprimeReflection(NamedTuple):
-    """The semiprime elements of an integral quantale, with the reflector."""
-
-    members: tuple[int, ...]  # quantale indices, ascending
-    frame: FiniteLattice
-    radical_of: tuple[int, ...]  # quantale index -> least semiprime above
-
-
-def semiprime_elements(Q: FiniteLattice) -> SemiprimeReflection:
-    """Semiprime elements of a finite integral quantale, as a frame.
+def semiprime_elements(Q: FiniteLattice) -> tuple[int, ...]:
+    """The semiprime elements of a finite integral quantale, as ascending
+    quantale indices.
 
     An element is semiprime when every element with a power below it is
     itself below it.  Verifies: closure under meets, that the restricted
@@ -149,14 +146,14 @@ def semiprime_elements(Q: FiniteLattice) -> SemiprimeReflection:
     )
     if not frame.is_distributive:
         raise InternalMismatch(f"semiprimes of {Q.name} do not form a frame")
-    return SemiprimeReflection(members=members, frame=frame, radical_of=radical_of)
+    return members
 
 
 def check_radical_equals_semiprime(A: Source) -> None:
     """An ideal is radical exactly when it is semiprime in the ideal quantale."""
     an = analysis(A)
     A, iq = an.owner, an.ideals
-    semi = set(semiprime_elements(iq.lattice).members)
+    semi = set(semiprime_elements(iq.lattice))
     for i, I in enumerate(iq.ideals):
         if is_radical(A, I.mask) != (i in semi):
             raise InternalMismatch(
@@ -173,20 +170,6 @@ def check_frame_universality(
     if not F.is_distributive or not F.is_integral_quantale or F.mul != F.meet:
         raise NotIntegral(f"{F.name} is not a frame with meet as multiplication")
     return analysis(A).universality("radicals", F, strict_zero)
-
-
-class ReflectionResult(NamedTuple):
-    """The distributive-lattice reflection of an ordered semiring.
-
-    Realized as the radical frame: at finite scale every ideal of the
-    finite reflection lattice is a principal downset, so the lattice
-    presented by the carrier generators collapses onto the radical ideals.
-    ``universal_map`` sends each element to its radical principal ideal.
-    """
-
-    owner: FiniteOrderedSemiring
-    lattice: FiniteLattice
-    universal_map: tuple[int, ...]
 
 
 @cache
@@ -206,15 +189,19 @@ def small_distributive_lattices() -> tuple[FiniteLattice, ...]:
     )
 
 
-def distributive_reflection(A: Source) -> ReflectionResult:
-    """The universal distributive lattice receiving A, with its validation.
+def distributive_reflection(A: Source) -> None:
+    """Verify that the radical frame is the universal distributive lattice
+    receiving A, its universal map sending each element to its radical
+    principal ideal: ``an.radicals`` and ``an.radical_principal``.
 
-    Checks the five presentation relations on the generator images, that
-    the images generate the lattice, distributivity, and -- against every
-    lattice of ``small_distributive_lattices`` -- that composition with the
-    universal map is a bijection from lattice homomorphisms onto subadditive
-    morphisms (``check_frame_universality``, since the reflection is the
-    radical frame).
+    Every ideal of the finite reflection lattice is a principal downset, so
+    the lattice presented by the carrier generators collapses onto the
+    radical ideals.  Checks the five presentation relations on the
+    generator images, that the images generate the lattice,
+    distributivity, and -- against every lattice of
+    ``small_distributive_lattices`` -- that composition with the universal
+    map is a bijection from lattice homomorphisms onto subadditive
+    morphisms (``check_frame_universality``).
     """
     an = analysis(A)
     A, lattice, gen = an.owner, an.radicals.lattice, an.radical_principal
@@ -261,8 +248,6 @@ def distributive_reflection(A: Source) -> ReflectionResult:
         except UniversalityFailure as exc:
             raise PresentationViolation(str(exc)) from exc
 
-    return ReflectionResult(owner=A, lattice=lattice, universal_map=gen)
-
 
 def check_coherence(A: Source) -> None:
     """Verify the explicit frame isomorphism between the radical frame and
@@ -276,7 +261,8 @@ def check_coherence(A: Source) -> None:
     distributive lattice.
     """
     an = analysis(A)
-    A, L = an.owner, an.reflection.lattice
+    an.reflection  # the reflection's checks first: its lattice is L
+    A, L = an.owner, an.radicals.lattice
     iq = enumerate_ideals(L.semiring)
     try:
         forward = tuple(iq.index_of(L.lower_masks[r]) for r in range(L.n))

@@ -13,8 +13,9 @@ of a batch) is translated by it once, giving every map's images, map by
 map, and the images of the two constants are two strided slices of it.
 The target side is looked up once per batch: the pair code
 ``m * f(x) + f(y)`` of every entry (``pair_codes``) is translated through
-the target's 256-byte code tables (in 16 x 16 blocks above 16 elements),
-and each law is one comparison for the whole batch, read map by map only
+the target's row-major tables, padded to 256 bytes up to 16 elements;
+above, the codes are ints and the tables are read one entry at a time.
+Each law is then one comparison for the whole batch, read map by map only
 where it fails.  A structure's byte forms are built on its first re-check
 and kept in its ``__dict__``, as a ``cached_property`` would be, as long as
 it lives.  They hold structures of at most 256 elements; a larger one is
@@ -32,8 +33,6 @@ from .core import FiniteLattice
 from .errors import EndpointMismatch, SizeLimit
 
 _BYTES = bytes(range(256))
-_LOW = _BYTES[:16] * 16  # byte c becomes c & 15
-_HIGH = b"".join(_BYTES[h : h + 1] * 16 for h in range(16))  # c becomes c >> 4
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 # where a structure keeps its byte forms, in its __dict__
 _ORDER, _SOURCE, _TARGET = "_recheck_order", "_recheck_source", "_recheck_target"
@@ -73,79 +72,26 @@ def _pairs(n: int) -> tuple[bytes, bytes]:
     return bytes(chain.from_iterable([x] * n for x in range(n))), _BYTES[:n] * n
 
 
-def _code_tables(m: int, *flats: bytes) -> tuple:
-    """Each row-major table of ``m`` elements as pair-code tables
-    (``pair_codes``).  With ``m <= 16`` byte ``a * m + b`` is ``T[a][b]``:
-    the table itself, padded to 256 bytes.  Above, element ``a`` is
-    ``16 * ha + la`` and each block ``(ha, hb)`` is a triple: its code
-    ``16 * ha + hb``, the table sending that code to 255 and every other to
-    0, and the 256-byte table whose byte ``16 * la + lb`` is ``T[a][b]``."""
-    if m <= 16:
-        return tuple(flat.ljust(256, b"\0") for flat in flats)
-    halves = range((m + 15) >> 4)
+class IntCodes(list):
+    """The pair codes of a target of more than 16 elements, one int each,
+    which a byte no longer holds."""
 
-    def table(ha: int, hb: int, flat: bytes) -> bytes:
-        cols = slice(16 * hb, min(16 * hb + 16, m))
-        rows = range(16 * ha, min(16 * ha + 16, m))
-        block = (flat[a * m :][cols].ljust(16, b"\0") for a in rows)
-        return b"".join(block).ljust(256, b"\0")
-
-    selects = {
-        ha << 4 | hb: bytes(255 if c == ha << 4 | hb else 0 for c in range(256))
-        for ha in halves
-        for hb in halves
-    }
-    return tuple(
-        tuple(
-            (code, select, table(code >> 4, code & 15, flat))
-            for code, select in selects.items()
-        )
-        for flat in flats
-    )
+    def translate(self, table: bytes) -> bytes:
+        """The entry of every pair in the row-major ``table``, read one
+        entry at a time."""
+        return bytes(map(table.__getitem__, self))
 
 
-def _code(high: bytes, low: bytes) -> bytes:
-    """``16 * high[k] + low[k]`` for every ``k``, all entries below 16: two
-    big-int conversions and an OR."""
-    return (int.from_bytes(high, "big") << 4 | int.from_bytes(low, "big")).to_bytes(
-        len(high), "big"
-    )
-
-
-class BlockCodes:
-    """The pair codes of a target of more than 16 elements: the base-16
-    code of the low nibbles and that of the high ones, the block."""
-
-    __slots__ = ("low", "blocks")
-
-    def __init__(self, low: bytes, blocks: bytes) -> None:
-        self.low, self.blocks = low, blocks
-
-    def translate(self, table: tuple) -> bytes:
-        """The entry of every pair, ``table`` being a ``_code_tables``
-        form: one ``translate`` per block that occurs, each masked to its
-        own entries."""
-        out = 0
-        for block, select, part in table:
-            if block in self.blocks:
-                out |= int.from_bytes(
-                    self.blocks.translate(select), "big"
-                ) & int.from_bytes(self.low.translate(part), "big")
-        return out.to_bytes(len(self.low), "big")
-
-
-def pair_codes(P: bytes, Q: bytes, m: int) -> Union[bytes, BlockCodes]:
-    """The pair codes of ``(P[k], Q[k])`` for every ``k``, entries below
-    ``m``: ``m * P[k] + Q[k]`` when ``m <= 16`` (no byte carries, as it
-    stays below 256), else a ``BlockCodes``.  Either way, its ``translate``
-    of a ``_code_tables`` table gives the table's entry at every pair."""
+def pair_codes(P: bytes, Q: bytes, m: int) -> Union[bytes, IntCodes]:
+    """The pair codes ``m * P[k] + Q[k]`` for every ``k``, entries below
+    ``m``: bytes when ``m <= 16`` (no byte carries, as each code stays
+    below 256), else an ``IntCodes``.  Either way, its ``translate`` of a
+    row-major table (padded to 256 bytes up to 16 elements) gives the
+    table's entry at every pair."""
     if m <= 16:
         code = int.from_bytes(P, "big") * m + int.from_bytes(Q, "big")
         return code.to_bytes(len(P), "big")
-    return BlockCodes(
-        _code(P.translate(_LOW), Q.translate(_LOW)),
-        _code(P.translate(_HIGH), Q.translate(_HIGH)),
-    )
+    return IntCodes(m * a + b for a, b in zip(P, Q))
 
 
 def each_equal(P: bytes, Q: bytes, size: int) -> list[bool]:
@@ -234,12 +180,14 @@ def _source(S) -> tuple:
 
 def _target(S) -> tuple:
     """What a re-check reads of ``S`` as a target, built on first use and
-    kept: its size, its two operations and ``<=`` (1 or 0) as pair-code
-    tables, each constant as a byte 256 times, for each constant whether
-    each element is below it, and the bytes below its size."""
+    kept: its size, its two operations and ``<=`` (1 or 0) as row-major
+    tables of at least 256 bytes (padded only up to 16 elements, where the
+    pair codes are bytes and the tables ``translate`` tables), each
+    constant as a byte 256 times, for each constant whether each element is
+    below it, and the bytes below its size."""
     n, op1, op2, *constants = _laws(S)
     order = vars(S).get(_ORDER) or _order(S)
-    codes = _code_tables(n, op1, op2, order)
+    codes = (flat.ljust(256, b"\0") for flat in (op1, op2, order))
     ends = (bytes((c,)) * 256 for c in constants)
     belows = tuple(tuple(map(bool, order[c::n])) for c in constants)
     found = vars(S)[_TARGET] = (n, *codes, *ends, belows, _BYTES[:n])

@@ -192,9 +192,9 @@ def _product_of_generators(an: Analysis) -> None:
 
 
 def _sobriety(an: Analysis) -> None:
-    result = check_sober(an.spectrum)
-    if not result.sober:
-        raise InternalMismatch(f"{an.owner.name}: {result.witness}")
+    witness = check_sober(an.spectrum)
+    if witness is not None:
+        raise InternalMismatch(f"{an.owner.name}: {witness}")
 
 
 # (name, body) of each verdict, in report order.  Every body reads its check

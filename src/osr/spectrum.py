@@ -16,7 +16,7 @@ the radical frame is verified by ``core.check_lattice_iso``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .analysis import Source, analysis
 from .core import (
@@ -345,26 +345,19 @@ def check_prime_element_correspondence(A: Source) -> None:
             )
 
 
-class SoberReport(NamedTuple):
-    t0: bool
-    sober: bool
-    witness: Optional[str] = None
-
-
-def check_sober(X: FiniteTopSpace) -> SoberReport:
+def check_sober(X: FiniteTopSpace) -> Optional[str]:
     """Is the space T0 with a unique generic point per irreducible closed set?
 
-    Returns the verdict rather than raising: arbitrary spaces may honestly
-    fail, and the suites assert soberness only for spectrum outputs.
+    Returns None if so, else the witness of the first failure, rather than
+    raising: arbitrary spaces may honestly fail, and the suites assert
+    soberness only for spectrum outputs.
     """
     for x in range(X.n):
         for y in range(x + 1, X.n):
             if not any(bool(u >> x & 1) != bool(u >> y & 1) for u in X.opens):
-                return SoberReport(
-                    t0=False,
-                    sober=False,
-                    witness=f"points {X.point_labels[x]} and {X.point_labels[y]} "
-                    f"share all opens",
+                return (
+                    f"points {X.point_labels[x]} and {X.point_labels[y]} "
+                    f"share all opens"
                 )
     for c in X.closed_sets:
         if c == 0:
@@ -378,9 +371,5 @@ def check_sober(X: FiniteTopSpace) -> SoberReport:
             continue
         generic = [x for x in bits(c) if X.closure_of(1 << x) == c]
         if len(generic) != 1:
-            return SoberReport(
-                t0=True,
-                sober=False,
-                witness=f"irreducible closed set with {len(generic)} generic points",
-            )
-    return SoberReport(t0=True, sober=True)
+            return f"irreducible closed set with {len(generic)} generic points"
+    return None

@@ -129,7 +129,7 @@ def test_criterion_04_radical_equals_semiprime():
         for A in osr.builtin_family(8):
             iq = enumerate_ideals(A)
             check_radical_equals_semiprime(A)
-            semi = semiprime_elements(iq.lattice).members
+            semi = semiprime_elements(iq.lattice)
             assert [iq.ideals[m].mask for m in semi] == radical_masks_bruteforce(A)
 
 
@@ -154,16 +154,17 @@ def test_criterion_06_boolean_reflection():
             A = osr.build_boolean_ring(atoms)
             B1 = osr.downset_frame(atoms, [], name=f"boolean{atoms}")
             assert B1.labels == A.labels  # same canonical carrier order
-            refl = distributive_reflection(A)
-            u = refl.universal_map
+            an = osr.Analysis(A)
+            assert distributive_reflection(an) is None
+            L, u = an.radicals.lattice, an.radical_principal
             assert sorted(u) == list(range(B1.n))  # a bijection
-            assert u[A.zero] == refl.lattice.bottom
-            assert u[A.one] == refl.lattice.top
+            assert u[A.zero] == L.bottom
+            assert u[A.one] == L.top
             rad = enumerate_radical_ideals(A)
             for i in range(B1.n):
                 for j in range(B1.n):
-                    assert u[B1.join[i][j]] == refl.lattice.join[u[i]][u[j]]
-                    assert u[B1.meet[i][j]] == refl.lattice.meet[u[i]][u[j]]
+                    assert u[B1.join[i][j]] == L.join[u[i]][u[j]]
+                    assert u[B1.meet[i][j]] == L.meet[u[i]][u[j]]
                 # identity on the underlying carrier up to relabeling:
                 # the radical ideal attached to e holds exactly the x below e
                 members = set(rad.ideals[u[i]].members)

@@ -274,8 +274,8 @@ def test_instance_structures_die_with_their_analysis():
     for Q in quantale_targets():
         osr.check_quantale_universality(an, Q)
     osr.check_coherence(an)
-    refs = [weakref.ref(x) for x in (an, an.ideals.lattice, an.reflection.lattice)]
-    refs.append(weakref.ref(an.reflection.lattice.semiring))
+    refs = [weakref.ref(x) for x in (an, an.ideals.lattice, an.radicals.lattice)]
+    refs.append(weakref.ref(an.radicals.lattice.semiring))
     del an
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)

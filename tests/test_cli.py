@@ -180,6 +180,26 @@ def test_dot_outputs(capsys):
     assert '"{0}" -> "{0,1}"' in out
 
 
+def test_dot_escapes_quotes_in_labels(tmp_path, capsys):
+    # Z/2 with its unit labelled a": the parser takes the label, and DOT
+    # must read it back as one quoted name
+    f = tmp_path / "quoted.osr"
+    f.write_text(
+        'name: quoted\nelements: 0 a"\nle: discrete\nzero: 0\none: a"\n'
+        'add:\n0 a"\na" 0\nmul:\n0 0\n0 a"\n'
+    )
+    code, out, _ = run(capsys, "dot", "idl", str(f))
+    assert code == 0
+    assert out == (
+        "digraph ideals {\n  rankdir=BT;\n"
+        '  "{0}";\n  "{0,a\\"}";\n  "{0}" -> "{0,a\\"}";\n}\n'
+    )
+    for target in ("rad", "spec"):  # every name closed on its own line
+        code, out, _ = run(capsys, "dot", target, str(f))
+        lines = out.replace('\\"', "").splitlines()
+        assert code == 0 and all(line.count('"') % 2 == 0 for line in lines)
+
+
 def test_failed_verdict_exits_1(capsys, monkeypatch):
     from osr.errors import InternalMismatch
 

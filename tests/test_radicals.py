@@ -94,21 +94,21 @@ def test_semiprime_of_ideal_quantale_matches_radicals():
     z4 = osr.build_zmod(4)
     iq = enumerate_ideals(z4)
     sp = semiprime_elements(iq.lattice)
-    assert len(sp.members) == 2
-    assert {iq.ideals[m].label for m in sp.members} == {"{0,2}", "{0,1,2,3}"}
+    assert len(sp) == 2
+    assert {iq.ideals[m].label for m in sp} == {"{0,2}", "{0,1,2,3}"}
 
 
 def test_semiprime_of_frame_is_everything():
     for F in (osr.chain_frame(3), osr.diamond_frame()):
-        sp = semiprime_elements(F)
-        assert sp.members == tuple(range(F.n))  # idempotent multiplication
+        assert semiprime_elements(F) == tuple(range(F.n))  # idempotent multiplication
 
 
 def test_semiprime_of_nilpotent_quantale():
     Q = osr.nilpotent_chain_quantale()
     sp = semiprime_elements(Q)
-    assert sp.members == (1, 2)  # bottom is not semiprime: m^2 = 0
-    assert sp.radical_of == (1, 1, 2)
+    assert sp == (1, 2)  # bottom is not semiprime: m^2 = 0
+    reflector = tuple(Q.meet_of(p for p in sp if Q.le(q, p)) for q in range(Q.n))
+    assert reflector == (1, 1, 2)
     with pytest.raises(NotIntegral):
         semiprime_elements(
             osr.core.lattice_from_order(("a", "b"), (0b11, 0b10))
@@ -149,29 +149,33 @@ def test_frame_universality_rejects_non_frames():
 
 def test_reflection_of_zmod4():
     z4 = osr.build_zmod(4)
-    refl = distributive_reflection(z4)
-    assert refl.lattice.n == 2
-    bottom, top = refl.lattice.bottom, refl.lattice.top
-    assert tuple(refl.universal_map) == (bottom, top, bottom, top)
+    an = osr.Analysis(z4)
+    assert distributive_reflection(an) is None
+    L = an.radicals.lattice
+    assert L.n == 2
+    assert an.radical_principal == (L.bottom, L.top, L.bottom, L.top)
 
 
 def test_reflection_of_distributive_lattice_is_identity_like():
     for A in (osr.build_chain_lattice(3), osr.build_dlat_from_poset(2, [])):
-        refl = distributive_reflection(A)
-        assert refl.lattice.n == A.n
-        assert len(set(refl.universal_map)) == A.n  # injective
+        an = osr.Analysis(A)
+        assert distributive_reflection(an) is None
+        assert an.radicals.lattice.n == A.n
+        assert len(set(an.radical_principal)) == A.n  # injective
 
 
 def test_reflection_family(family6):
     for A in family6:
-        refl = distributive_reflection(A)
-        assert refl.lattice == enumerate_radical_ideals(A).lattice
+        an = osr.Analysis(A)
+        assert distributive_reflection(an) is None
+        assert an.radicals.lattice == enumerate_radical_ideals(A).lattice
 
 
 def test_coherence_examples():
     z6 = osr.build_zmod(6)
     assert check_coherence(z6) is None
-    reflection = distributive_reflection(z6).lattice
+    assert distributive_reflection(z6) is None
+    reflection = enumerate_radical_ideals(z6).lattice
     assert (
         len(enumerate_radical_ideals(z6))
         == len(enumerate_ideals(reflection.semiring).ideals)
@@ -185,16 +189,17 @@ def test_coherence_examples():
 def test_boolean_ring_reflection_is_the_boolean_algebra():
     for atoms in (1, 2, 3):
         A = osr.build_boolean_ring(atoms)
-        refl = distributive_reflection(A)
-        assert refl.lattice.n == A.n
+        an = osr.Analysis(A)
+        assert distributive_reflection(an) is None
+        assert an.radicals.lattice.n == A.n
         # the underlying map is the identity up to canonical relabeling:
         # the radical ideal attached to a subset collects exactly its subsets
         for e in range(A.n):
-            target = refl.universal_map[e]
+            target = an.radical_principal[e]
             members = {
                 x
                 for x in range(A.n)
-                if refl.owner.mul[x][e] == x  # x & e == x, i.e. x below e
+                if A.mul[x][e] == x  # x & e == x, i.e. x below e
             }
             ideal_members = set(
                 osr.enumerate_radical_ideals(A).ideals[target].members

@@ -1,11 +1,12 @@
 """Relabelling invariance: the same semiring with its elements listed in
-another order must give the same report and the same structures.
+another order must give the same report, the same structures and the same
+morphisms.
 
 Many routes read elements by index: the closure and the product columns
-cut the carrier into four-element slices, the re-check reads targets in
-16 x 16 blocks and batches ``256 // n`` maps, and the search takes its
-variables in index order.  Listing the elements in another order moves
-every element into other slices, blocks and places in the search, and
+cut the carrier into four-element slices, the re-check batches
+``256 // n`` maps, one after another in a byte lane, and the search takes
+its variables in index order.  Listing the elements in another order moves
+every element into other slices, lanes and places in the search, and
 changes no verdict.  No oracle is needed, so this runs at the carrier cap.
 """
 
@@ -40,8 +41,11 @@ def relabelled(desc: RawSemiringDescription, order) -> RawSemiringDescription:
 
 
 def outputs(monkeypatch, A):
-    """The JSON report of ``A``, and its ideals, radical ideals and primes,
-    each as a set of label sets."""
+    """The JSON report of ``A``; its ideals, radical ideals, primes and
+    maximal ideals, each as a set of label sets; the opens of its spectrum,
+    as a set of sets of those of the primes; and, for each radical-frame
+    universality target, the subadditive morphisms into it, each as a set
+    of (label, value) pairs."""
     analyses = []
 
     def keep(owner):
@@ -52,14 +56,32 @@ def outputs(monkeypatch, A):
     report = run_checks(A).to_json()
     (an,) = analyses
 
-    def label_sets(ideals):
-        return {frozenset(A.labels[x] for x in I.members) for I in ideals}
+    def label_set(I):
+        return frozenset(A.labels[x] for x in I.members)
 
+    def label_sets(ideals):
+        return set(map(label_set, ideals))
+
+    points = [label_set(P) for P in an.primes]  # the spectrum's, in order
+    opens = {
+        frozenset(p for i, p in enumerate(points) if u >> i & 1)
+        for u in an.spectrum.opens
+    }
+    morphisms = [
+        {
+            frozenset(zip(A.labels, f.values))
+            for f in osr.enumerate_subadditive(A, F.semiring)
+        }
+        for F in osr.report.frame_targets()
+    ]
     return (
         report,
         label_sets(an.ideals.ideals),
         label_sets(an.radicals.ideals),
         label_sets(an.primes),
+        label_sets(an.maximal),
+        opens,
+        morphisms,
     )
 
 

@@ -376,7 +376,7 @@ def test_byte_lanes_refuse_a_structure_above_256_elements(monkeypatch):
     assert osr.homs.is_quantale_hom(L256, L256, [range(256), shuffled]) == [True, False]
     osr.classify(osr.two(), osr.two(), [(0, 1)])  # two's own tables, built here
     built = []  # from here on, nothing that reads a lane or a table is reached
-    for name in ("BatchSides", "_code_tables", "_order", "pair_codes"):
+    for name in ("BatchSides", "IntCodes", "_order", "pair_codes"):
         monkeypatch.setattr(osr.recheck, name, lambda *args: built.append(args))
     big, L = _chain_of(257)
     for check in (
@@ -553,8 +553,8 @@ def test_the_recheck_module_reads_the_data_model_only():
     checked = {"search", "ideals", "morphisms", "homs", "analysis"}
     assert not checked & _imports(osr.recheck.__file__)
     assert {"core", "errors"} <= _imports(osr.recheck.__file__)
-    moved = {"BatchSides", "BlockCodes", "pair_codes", "value_batches", "_flat"}
-    moved |= {"each_equal", "each_true", "each_within", "_code_tables", "_BYTES"}
+    moved = {"BatchSides", "IntCodes", "pair_codes", "value_batches", "_flat"}
+    moved |= {"each_equal", "each_true", "each_within", "_BYTES"}
     assert not moved & set(vars(osr.core))
     for cls in (osr.FiniteOrderedSemiring, osr.FiniteLattice):
         assert not {"flat", "codes"} & set(dir(cls))
