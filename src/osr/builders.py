@@ -3,8 +3,10 @@
 Every semiring builder gives ``_semiring`` its labels and operations on
 element indices; ``_semiring`` checks the size guardrail, builds the label
 tables and funnels them through ``validate``, so the exhaustive axiom check
-is re-run on each construction rather than assumed.  Builders are
-deterministic: the same parameters give identical tables.
+is re-run on each construction rather than assumed; ``build_from_quantale``
+funnels a quantale's semiring view (``FiniteLattice.semiring``) through it
+the same way.  Builders are deterministic: the same parameters give
+identical tables.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .core import (
     transitive_closure,
     validate,
 )
-from .errors import LabelError, NotAPartialOrder, NotAQuantale
+from .errors import LabelError, NotAPartialOrder
 
 _Op = Callable[[int, int], int]
 
@@ -194,24 +196,12 @@ def build_truncated_maxplus(cap: int) -> FiniteOrderedSemiring:
 
 
 def build_from_quantale(Q: FiniteLattice) -> FiniteOrderedSemiring:
-    """The ordered semiring induced by a quantale: join adds, mul multiplies.
-
-    Element order is preserved, so index ``i`` in the result is element
-    ``i`` of ``Q``.
-    """
-    if Q.mul is None or Q.unit is None:
-        raise NotAQuantale(f"{Q.name} carries no multiplication")
-    join, mul = Q.join, Q.mul
-    return _semiring(
-        f"osr({Q.name})",
-        Q.n,
-        Q.labels.__getitem__,
-        Q.leq,
-        Q.bottom,
-        Q.unit,
-        lambda i, j: join[i][j],
-        lambda i, j: mul[i][j],
-    )
+    """``Q.semiring``, the semiring a quantale is (join adds, mul
+    multiplies), validated: for a quantale that enters as an input.
+    Index ``i`` in the result is element ``i`` of ``Q``."""
+    S = Q.semiring
+    _check_size(S.n)
+    return validate(S.describe())
 
 
 def discretize(A: FiniteOrderedSemiring) -> FiniteOrderedSemiring:

@@ -9,7 +9,9 @@ associativity (``associativity_rows``) and distributivity
 at a time: each side of the law over all ``(y, z)`` is a tuple of ``n``
 rows built by ``gather`` at C speed, the two are compared once, and the
 first mismatch of a row gives back its witness ``(y, z)``.  These tuples
-hold structures of any size.
+hold structures of any size.  A quantale is its semiring, a view on its
+tables (``FiniteLattice.semiring``), which every map search and re-check
+reads: the quantale laws checked imply the semiring laws.
 """
 
 from __future__ import annotations
@@ -340,8 +342,7 @@ class FiniteOrderedSemiring(Record):
     def search_target(self) -> SearchTarget:
         """The search engine's support tables into this semiring (its order
         and operation tables), each built on first use and kept as long as
-        the semiring; a quantale target is searched through its
-        ``semiring``, so it has no tables of its own."""
+        the semiring; a quantale is searched as its ``semiring``."""
         from .search import SearchTarget
 
         return SearchTarget(self.leq)
@@ -563,19 +564,18 @@ class FiniteLattice(Record):
 
     @cached_property
     def semiring(self) -> FiniteOrderedSemiring:
-        """The ordered semiring this quantale induces, built and validated
-        once per lattice by ``builders.build_from_quantale``."""
-        from .builders import build_from_quantale
-
-        return build_from_quantale(self)
-
-    @cached_property
-    def search_source(self) -> SearchSource:
-        """The search engine's source side of maps out of this lattice (its
-        order pairs and law instances), kept as long as the lattice."""
-        from .search import SearchSource
-
-        return SearchSource(self.leq)
+        """The ordered semiring this quantale is, ``(L, join, bottom, mul,
+        unit, <=)``: a view on the lattice's own tables, made once and not
+        validated, since the quantale laws that ``lattice_from_order``
+        checked imply the semiring laws (distributivity makes ``mul``
+        monotone).  ``builders.build_from_quantale`` is the validated copy.
+        Raises NotAQuantale on a lattice without a multiplication."""
+        if self.mul is None or self.unit is None:
+            raise NotAQuantale(f"{self.name} carries no multiplication")
+        L = self
+        return FiniteOrderedSemiring(
+            f"osr({L.name})", L.labels, L.leq, L.bottom, L.unit, L.join, L.mul
+        )
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:

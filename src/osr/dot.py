@@ -2,6 +2,7 @@
 
 Diagrams carry only the cover relation, drawn bottom to top; node names are
 the canonical member-set labels, so output is byte-identical across runs.
+A diagram in which two nodes would share a name is refused with LabelError.
 For a spectrum the edges are the covers of the specialization order, which
 for prime ideals is containment.
 """
@@ -16,6 +17,9 @@ TARGETS = ("idl", "rad", "spec")
 
 
 def _digraph(kind: str, labels, covers) -> str:
+    if len(set(labels)) < len(labels):  # element labels may hold ','
+        clash = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
+        raise LabelError(f"dot {kind}: two nodes are named {clash}")
     # a label may hold '"', which a DOT string escapes; nothing else needs it
     names = ['"' + lab.replace('"', '\\"') + '"' for lab in labels]
     lines = [f"digraph {kind} {{", "  rankdir=BT;"]

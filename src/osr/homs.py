@@ -9,12 +9,12 @@ quantale and the radical frame as left adjoints) and the distributive
 reflection: each passes its lattice of ideals, its universal arrow and the
 subadditive morphisms to compare against, which the caller enumerates.
 
-Enumeration runs the same forward-checking engine as the morphism search
-(``search.forward_search``) over every element of the source, each
-preservation law narrowing the values of the last element it mentions.
-The maps it finds are re-checked exhaustively by one call of
-``is_quantale_hom``, which reads the law kernel of ``recheck`` that
-``morphisms.classify`` reads too.
+A quantale is searched and re-checked as its semiring, a view on its
+tables (``FiniteLattice.semiring``): enumeration runs the morphism search's
+forward-checking engine (``search.forward_search``) between the two
+semirings, each preservation law narrowing the values of the last element
+it mentions, and one call of ``is_quantale_hom`` re-checks the maps it
+finds with the law kernel of ``recheck`` that ``morphisms.classify`` reads.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .core import FiniteLattice, gather
-from .errors import (
-    InternalMismatch,
-    NotAQuantale,
-    UniversalityFailure,
-)
+from .errors import InternalMismatch, UniversalityFailure
 from .morphisms import MorphismTable, checked_search
 from .recheck import fit_lanes, law_columns
 
@@ -37,29 +33,31 @@ if TYPE_CHECKING:
 def is_quantale_hom(L: FiniteLattice, Q: FiniteLattice, maps) -> list[bool]:
     """Exhaustive check of each value array of ``maps``, in order: whether
     it preserves binary joins, products, bottom and unit, every pair of
-    every map compared (the first column of ``recheck.law_columns``).
-    Raises NotAQuantale if either lattice lacks a multiplication, whatever
-    the maps, and EndpointMismatch for a value array that is not a map from
-    L into Q.  With no maps, no table is read or built."""
-    if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
-        raise NotAQuantale("both lattices must carry a multiplication")
-    return law_columns(L, Q, maps)[0]
+    every map compared (the first column of ``recheck.law_columns`` on the
+    two semirings).  Raises NotAQuantale if either lattice lacks a
+    multiplication, whatever the maps, and EndpointMismatch for a value
+    array that is not a map from L into Q.  With no maps, no table is read
+    or built."""
+    S, T = L.semiring, Q.semiring
+    if maps:
+        fit_lanes(L, Q)
+    return law_columns(S, T, maps)[0]
 
 
 def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[tuple[int, ...]]:
     """All quantale homomorphisms L -> Q, each a tuple of Q's indices, one
     per element of L, sorted.
 
-    Runs the forward-checking engine into ``Q.semiring`` over L, with
-    bottom and unit pinned, monotonicity, and preservation of binary joins
-    and products as constraints.  The value tables it finds are re-verified
-    by one call of ``is_quantale_hom``; the first that fails raises
-    InternalMismatch.  A lattice that ``is_quantale_hom`` could not read is
-    refused with SizeLimit before the search is bound (``recheck.fit_lanes``),
-    even where the search would find no maps.
+    Runs the forward-checking engine from ``L.semiring`` into
+    ``Q.semiring``, with bottom and unit pinned, monotonicity, and
+    preservation of binary joins and products as constraints.  The value
+    tables it finds are re-verified by one call of ``is_quantale_hom``; the
+    first that fails raises InternalMismatch.  A lattice that
+    ``is_quantale_hom`` could not read is refused with SizeLimit before the
+    search is bound (``recheck.fit_lanes``), even where it would find no
+    maps.
     """
-    if L.unit is None or Q.unit is None or L.mul is None or Q.mul is None:
-        raise NotAQuantale("both lattices must carry a multiplication")
+    S, T = L.semiring, Q.semiring
     fit_lanes(L, Q)
 
     def recheck(found: list) -> list[tuple[int, ...]]:
@@ -73,10 +71,10 @@ def enumerate_quantale_homs(L: FiniteLattice, Q: FiniteLattice) -> list[tuple[in
 
     return checked_search(
         recheck,
-        L.search_source,
-        Q.semiring.search_target,
-        ((L.bottom, Q.bottom, True), (L.unit, Q.unit, True)),
-        ((L.join, Q.join, True), (L.mul, Q.mul, True)),
+        S.search_source,
+        T.search_target,
+        ((S.zero, T.zero, True), (S.one, T.one, True)),
+        ((S.add, T.add, True), (S.mul, T.mul, True)),
         layer=f"hom search {L.name} -> {Q.name}",
     )
 

@@ -260,10 +260,12 @@ def check_coherence(A: Source) -> None:
     coherence: every finite frame is the ideal frame of a finite
     distributive lattice.
     """
+    from .builders import build_from_quantale
+
     an = analysis(A)
     an.reflection  # the reflection's checks first: its lattice is L
     A, L = an.owner, an.radicals.lattice
-    iq = enumerate_ideals(L.semiring)
+    iq = enumerate_ideals(build_from_quantale(L))  # L as an input, validated
     try:
         forward = tuple(iq.index_of(L.lower_masks[r]) for r in range(L.n))
     except InternalMismatch as exc:

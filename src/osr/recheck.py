@@ -2,24 +2,25 @@
 byte strings, ``law_columns``, whose flag columns ``morphisms.classify``
 and ``homs.is_quantale_hom`` both read.
 
-The kernel reads a structure, semiring or quantale, as its size, two
-operation tables, its order and two constants: ``add``, ``mul``, ``zero``
-and ``one`` of a semiring, ``join``, ``mul``, ``bottom`` and ``unit`` of a
-quantale.  A whole list of maps is read in batches of ``256 // n``, one
-byte per table entry.  A batch's lane holds the values of its maps one
-after another; each source-side string (``BatchSides``: the row-major
-tables and the ``x`` and ``y`` of every element pair, written once per map
-of a batch) is translated by it once, giving every map's images, map by
-map, and the images of the two constants are two strided slices of it.
-The target side is looked up once per batch: the pair code
-``m * f(x) + f(y)`` of every entry (``pair_codes``) is translated through
-the target's row-major tables, padded to 256 bytes up to 16 elements;
-above, the codes are ints and the tables are read one entry at a time.
-Each law is then one comparison for the whole batch, read map by map only
-where it fails.  A structure's byte forms are built on its first re-check
-and kept in its ``__dict__``, as a ``cached_property`` would be, as long as
-it lives.  They hold structures of at most 256 elements; a larger one is
-refused with SizeLimit (``fit_lanes``), by the searches before they bind.
+The kernel reads semirings only, each as its size, its ``add`` and
+``mul`` tables, its order and its ``zero`` and ``one``; a quantale comes
+as its semiring (``FiniteLattice.semiring``, a view on its ``join``,
+``mul``, ``bottom`` and ``unit``).  A whole list of maps is read in
+batches of ``256 // n``, one byte per table entry.  A batch's lane holds
+the values of its maps one after another; each source-side string
+(``BatchSides``: the row-major tables and the ``x`` and ``y`` of every
+element pair, written once per map of a batch) is translated by it once,
+giving every map's images, map by map, and the images of the two
+constants are two strided slices of it.  The target side is looked up
+once per batch: the pair code ``m * f(x) + f(y)`` of every entry
+(``pair_codes``) is translated through the target's row-major tables,
+padded to 256 bytes up to 16 elements; above, the codes are ints and the
+tables are read one entry at a time.  Each law is then one comparison
+for the whole batch, read map by map only where it fails.  A structure's
+byte forms are built on its first re-check and kept in its ``__dict__``,
+as a ``cached_property`` would be, as long as it lives.  They hold
+structures of at most 256 elements; a larger one is refused with
+SizeLimit (``fit_lanes``), by the searches before they bind.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from itertools import chain, compress
 from operator import and_, eq, ne
 from typing import Sequence, Union
 
-from .core import FiniteLattice
 from .errors import EndpointMismatch, SizeLimit
 
 _BYTES = bytes(range(256))
@@ -146,16 +146,12 @@ def fit_lanes(*structures) -> None:
 
 
 def _laws(S) -> tuple:
-    """``S`` as its size, two operation tables and two constants: ``add``,
-    ``mul``, ``zero`` and ``one`` of a semiring, and ``join``, ``mul``,
-    ``bottom`` and ``unit`` of a quantale, the tables row-major as bytes.
-    A structure whose elements do not fit in one byte each is refused."""
+    """The semiring ``S`` as its size, its ``add`` and ``mul`` tables
+    row-major as bytes, its ``zero`` and its ``one``.  A structure whose
+    elements do not fit in one byte each is refused."""
     fit_lanes(S)
-    if isinstance(S, FiniteLattice):
-        ops, constants = (S.join, S.mul), (S.bottom, S.unit)
-    else:
-        ops, constants = (S.add, S.mul), (S.zero, S.one)
-    return S.n, *(bytes(chain.from_iterable(T)) for T in ops), *constants
+    add, mul = (bytes(chain.from_iterable(T)) for T in (S.add, S.mul))
+    return S.n, add, mul, S.zero, S.one
 
 
 def _order(S) -> bytes:

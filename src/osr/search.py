@@ -21,15 +21,16 @@ constraint whose variables all have values; nothing is tested per value.
 Support tables depend on the target alone.  A ``SearchTarget`` builds each
 on first use, from the target semiring's order and operation tables, and
 lives as long as the semiring (its ``search_target``).  Morphism search
-(``morphisms``) and quantale-hom search (``homs``) both search into a
-semiring, so each target order has one set of tables.  Equal tables are
-one object, so equal constraints on the same variables are applied once,
-and a table that allows every value is dropped.
+(``morphisms``) and quantale-hom search (``homs``) both search between
+semirings, a quantale as its semiring (``FiniteLattice.semiring``, a view
+on its tables), so each target order has one set of tables.  Equal
+tables are one object, so equal constraints on the same variables are
+applied once, and a table that allows every value is dropped.
 
 The constraints depend on the source alone, up to the tables they look up.
 A ``SearchSource`` holds the source's order pairs and, for each of its law
 tables, every instance with its shape, grouped by shape; it lives as long
-as the source semiring or lattice (its ``search_source``).
+as the source semiring (its ``search_source``).
 
 A search binds its constraints in one pass: it looks up one support table
 per shape and posts each group of instances straight into the per-variable

@@ -288,8 +288,24 @@ def test_target_stock_is_built_once_and_matches_a_fresh_build():
         assert stock() is first
         assert first == stock.__wrapped__()
         for L in first:
-            assert L.semiring is L.semiring
-            assert L.semiring == osr.build_from_quantale(L)
+            assert_semiring_view(L)
+
+
+def assert_semiring_view(L):
+    # L.semiring shares L's tables and is not validated, on the lemma that
+    # the quantale laws lattice_from_order checked give the semiring laws;
+    # validate re-checks that lemma here
+    S = L.semiring
+    assert S is L.semiring and S.add is L.join and S.mul is L.mul
+    assert (S.name, S.zero, S.one) == (f"osr({L.name})", L.bottom, L.unit)
+    assert S == osr.build_from_quantale(L) == osr.validate(S.describe())
+
+
+def test_the_semiring_of_every_ideal_lattice_is_a_view_that_validates(family6):
+    for A in family6:
+        an = Analysis(A)
+        assert_semiring_view(an.ideals.lattice)
+        assert_semiring_view(an.radicals.lattice)
 
 
 def test_memoized_product_check_matches_direct_closures(monkeypatch):

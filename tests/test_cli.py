@@ -8,9 +8,12 @@ import sys
 
 import pytest
 
+import osr
 import osr.report
 from osr.cli import main
 from osr.osrfile import render
+
+from .test_law_kernels import square_zero_description
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "zmod6_check.json"
 
@@ -198,6 +201,28 @@ def test_dot_escapes_quotes_in_labels(tmp_path, capsys):
         code, out, _ = run(capsys, "dot", target, str(f))
         lines = out.replace('\\"', "").splitlines()
         assert code == 0 and all(line.count('"') % 2 == 0 for line in lines)
+
+
+def test_dot_refuses_two_nodes_with_one_name(tmp_path, capsys):
+    # with the elements a, b and "a,b", the ideals {0, a,b} and {0, a, b}
+    # both print as {0,a,b}: 9 ideals, 8 names, and DOT would merge two
+    desc = square_zero_description(3)._replace(name="commas")
+    names = dict(zip(desc.elements, ("0", "a", "b", "a,b", "1")))
+    relabelled = desc._replace(
+        elements=tuple(names[e] for e in desc.elements),
+        zero="0",
+        one="1",
+        add_table=tuple(tuple(names[e] for e in row) for row in desc.add_table),
+        mul_table=tuple(tuple(names[e] for e in row) for row in desc.mul_table),
+    )
+    assert len(osr.enumerate_ideals(osr.validate(relabelled))) == 9
+    f = tmp_path / "commas.osr"
+    f.write_text(render(relabelled))
+    code, out, err = run(capsys, "dot", "idl", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: dot ideals: two nodes are named {0,a,b}\n"
+    for target in ("rad", "spec"):  # no clash: one radical ideal, one prime
+        assert run(capsys, "dot", target, str(f))[0] == 0
 
 
 def test_failed_verdict_exits_1(capsys, monkeypatch):

@@ -232,10 +232,11 @@ def test_is_quantale_hom_matches_the_pair_walk_on_the_ideals_of_chain24():
 
 @pytest.mark.parametrize("values", [(0, -1, 2), (0, 1, 2, 2), (0, 1), (0, 1, 2.0), 3])
 def test_is_quantale_hom_rejects_a_value_array_that_is_not_a_map(values):
-    L = osr.chain_frame(3)
-    with pytest.raises(EndpointMismatch, match="does not map chain3 into chain3"):
+    # the maps are re-checked between the lattices' semirings
+    L, refusal = osr.chain_frame(3), r"does not map osr\(chain3\) into osr\(chain3\)"
+    with pytest.raises(EndpointMismatch, match=refusal):
         is_quantale_hom(L, L, [values])
-    with pytest.raises(EndpointMismatch, match="does not map chain3 into chain3"):
+    with pytest.raises(EndpointMismatch, match=refusal):
         is_quantale_hom(L, L, [(0, 1, 2), values])
 
 
@@ -245,7 +246,7 @@ def test_is_quantale_hom_refuses_a_lattice_without_a_multiplication(maps):
     L = osr.chain_frame(3)
     bare = L._replace(mul=None, unit=None)
     for a, b in ((bare, L), (L, bare), (bare, bare)):
-        with pytest.raises(NotAQuantale, match="must carry a multiplication"):
+        with pytest.raises(NotAQuantale, match="chain3 carries no multiplication"):
             is_quantale_hom(a, b, maps)
 
 

@@ -532,6 +532,32 @@ def test_the_sqzero8_file_is_the_test_builder_rendered():
     assert osr.osrfile.parse_file(str(path)) == square_zero_description()
 
 
+def test_the_sqzero7_file_is_the_test_builder_rendered():
+    # the largest quantale of this family the byte lanes serve: 129 ideals;
+    # the CI step that runs osr check on the file pins its report
+    path = Path(__file__).parent / "data" / "sqzero7.osr"
+    assert path.read_text() == osr.osrfile.render(square_zero_description(7))
+    assert osr.osrfile.parse_file(str(path)) == square_zero_description(7)
+
+
+def test_a_quantale_of_129_ideals_is_searched_as_its_semiring():
+    # far above the validator's 24-element cap: the semiring of Idl(sqzero7)
+    # is a view on its tables, so maps are classified into it and searched
+    # out of it; finite fullness holds there as on the desk-scale family
+    A = square_zero_maxplus(7)
+    f = osr.canonical_embedding(A)
+    L = osr.enumerate_ideals(A).lattice
+    assert L.n == 129 and f.target == L.semiring and f.is_subadditive_morphism
+    for Q, count in (
+        (osr.chain_frame(2), 1),
+        (osr.chain_frame(3), 1),
+        (osr.nilpotent_chain_quantale(), 128),
+    ):
+        homs = osr.enumerate_quantale_homs(L, Q)
+        found = osr.enumerate_subadditive(L.semiring, Q.semiring, True)
+        assert [g.values for g in found] == homs and len(homs) == count, Q.name
+
+
 @pytest.fixture(scope="module")
 def ideals_257():
     return osr.enumerate_ideals(square_zero_maxplus())

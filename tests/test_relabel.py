@@ -43,9 +43,12 @@ def relabelled(desc: RawSemiringDescription, order) -> RawSemiringDescription:
 def outputs(monkeypatch, A):
     """The JSON report of ``A``; its ideals, radical ideals, primes and
     maximal ideals, each as a set of label sets; the opens of its spectrum,
-    as a set of sets of those of the primes; and, for each radical-frame
+    as a set of sets of those of the primes; for each radical-frame
     universality target, the subadditive morphisms into it, each as a set
-    of (label, value) pairs."""
+    of (label, value) pairs; and the quantale homomorphisms out of its
+    ideal quantale into each ideal-quantale universality target, and out of
+    its radical frame into each radical-frame one, each hom as a set of
+    (member label set, value) pairs."""
     analyses = []
 
     def keep(owner):
@@ -74,6 +77,17 @@ def outputs(monkeypatch, A):
         }
         for F in osr.report.frame_targets()
     ]
+
+    def homs(L, targets):
+        sets = [label_set(I) for I in L.ideals]
+        return [
+            {
+                frozenset(zip(sets, map(Q.labels.__getitem__, g)))
+                for g in osr.enumerate_quantale_homs(L.lattice, Q)
+            }
+            for Q in targets
+        ]
+
     return (
         report,
         label_sets(an.ideals.ideals),
@@ -82,6 +96,8 @@ def outputs(monkeypatch, A):
         label_sets(an.maximal),
         opens,
         morphisms,
+        homs(an.ideals, osr.report.quantale_targets()),
+        homs(an.radicals, osr.report.frame_targets()),
     )
 
 
