@@ -3,38 +3,45 @@
 Input is an ``.osr`` file path or ``--builder name:arg`` (zmod:6, chain:3,
 bool:2, truncnat:2, maxplus:1, dualq:2).  Exit codes: 0 all checks pass,
 1 a theorem verdict failed, 2 input error; diagnostics go to stderr.
+
+The grammar is ``osr COMMAND [SOURCE] [--builder NAME:ARG] [--json]``, and
+``osr dot TARGET [SOURCE] ...``; options may come anywhere after the
+command.  ``parse_args`` reads it without argparse, whose import and parser
+build cost every command a few milliseconds of start-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from typing import NamedTuple, Optional, Sequence
 
 from .analysis import Analysis
 from .builders import from_builder_spec
-from .core import FiniteOrderedSemiring, bits, validate
-from .dot import TARGETS, emit_dot
+from .core import FiniteOrderedSemiring, bits, refuse_repeated, validate
 from .errors import AxiomViolation, OsrError, VerificationFailure
-from .osrfile import parse_file
-from .report import run_checks
 from .spectrum import frame_points
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+USAGE = """\
+usage: osr COMMAND [SOURCE] [--builder NAME:ARG] [--json]
+       osr dot TARGET [SOURCE] [--builder NAME:ARG] [--json]
+"""
 
-def _add_source_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("source", nargs="?", help="path to an .osr file")
-    sub.add_argument(
-        "--builder",
-        metavar="NAME:ARG",
-        help="use a built-in construction instead of a file",
-    )
-    sub.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+
+class Args(NamedTuple):
+    command: str
+    target: Optional[str]  # the dot target; None for every other command
+    source: Optional[str]
+    builder: Optional[str]
+    json: bool
+
+
+class UsageError(Exception):
+    """A command line outside the grammar: ``main`` prints the usage, exit 2."""
 
 
 def _load(args) -> FiniteOrderedSemiring:
@@ -42,6 +49,8 @@ def _load(args) -> FiniteOrderedSemiring:
         raise OsrError("provide exactly one of: an .osr file path, or --builder")
     if args.builder is not None:
         return from_builder_spec(args.builder)
+    from .osrfile import parse_file
+
     return validate(parse_file(args.source))
 
 
@@ -62,7 +71,8 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _ideal_listing(args, kind: str) -> int:
+def _ideal_listing(args) -> int:
+    kind = args.command  # ideals, radicals or primes
     A = _load(args)
     an = Analysis(A)
     radical = {I.mask for I in an.radicals.ideals}
@@ -95,10 +105,12 @@ def _ideal_listing(args, kind: str) -> int:
         }
         _emit(args, payload, "")
         return EXIT_OK
+    labels = [I.label for I in chosen]
+    refuse_repeated(labels, kind, kind)  # JSON lists members, so it needs no check
     lines = []
-    for I in chosen:
+    for I, label in zip(chosen, labels):
         suffix = ", ".join(tags(I))
-        lines.append(f"{I.label}" + (f"  ({suffix})" if suffix else ""))
+        lines.append(label + (f"  ({suffix})" if suffix else ""))
     sys.stdout.write("\n".join(lines) + "\n" if lines else f"(no {kind} -- empty listing)\n")
     return EXIT_OK
 
@@ -146,6 +158,8 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .report import run_checks
+
     A = _load(args)
     report = run_checks(A)
     if args.json:
@@ -156,54 +170,112 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from .dot import emit_dot
+
     A = _load(args)
     sys.stdout.write(emit_dot(args.target, A))
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="osr",
-        description="finite ordered semirings: ideals, radicals, spectra, "
-        "and exhaustive theorem checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("validate", "check the ordered-semiring axioms"),
-        ("ideals", "list every ideal"),
-        ("radicals", "list every radical ideal"),
-        ("primes", "list every prime ideal"),
-        ("spec", "the spectrum: points and opens"),
-        ("reflect", "the distributive-lattice reflection"),
-        ("pt", "points of the radical frame"),
-        ("check", "run the full theorem suite"),
-    ):
-        _add_source_args(sub.add_parser(name, help=help_text))
-
-    dot = sub.add_parser("dot", help="DOT diagram of a computed structure")
-    dot.add_argument("target", choices=TARGETS)
-    _add_source_args(dot)
-    return parser
-
-
 COMMANDS = {
-    "validate": _cmd_validate,
-    "ideals": lambda a: _ideal_listing(a, "ideals"),
-    "radicals": lambda a: _ideal_listing(a, "radicals"),
-    "primes": lambda a: _ideal_listing(a, "primes"),
-    "spec": _cmd_spec,
-    "pt": _cmd_pt,
-    "reflect": _cmd_reflect,
-    "check": _cmd_check,
-    "dot": _cmd_dot,
+    "validate": (_cmd_validate, "check the ordered-semiring axioms"),
+    "ideals": (_ideal_listing, "list every ideal"),
+    "radicals": (_ideal_listing, "list every radical ideal"),
+    "primes": (_ideal_listing, "list every prime ideal"),
+    "spec": (_cmd_spec, "the spectrum: points and opens"),
+    "reflect": (_cmd_reflect, "the distributive-lattice reflection"),
+    "pt": (_cmd_pt, "points of the radical frame"),
+    "check": (_cmd_check, "run the full theorem suite"),
+    "dot": (_cmd_dot, "DOT diagram of a computed structure"),
 }
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _help_text() -> str:
+    from .dot import TARGETS
+
+    width = max(map(len, COMMANDS))
+    lines = [
+        USAGE,
+        "finite ordered semirings: ideals, radicals, spectra, and exhaustive "
+        "theorem checks",
+        "",
+        "commands:",
+        *(f"  {name:<{width}}  {text}" for name, (_, text) in COMMANDS.items()),
+        "",
+        f"TARGET is one of {', '.join(TARGETS)}.",
+        "",
+        "options, anywhere after the command:",
+        "  SOURCE              path to an .osr file",
+        "  --builder NAME:ARG  use a built-in construction instead of a file;",
+        "                      --builder=NAME:ARG is the same",
+        "  --json              machine-readable output",
+        "  -h, --help          show this help and exit",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: Sequence[str]) -> Optional[Args]:
+    """Read one command line of the grammar; None when it asks for help.
+
+    Raises ``UsageError`` for anything outside the grammar.  Options are
+    matched whole (no abbreviations), and ``--`` makes every later argument
+    positional.
+    """
+    if not argv:
+        raise UsageError("a command is required")
+    command, rest = argv[0], iter(argv[1:])
+    if command in ("-h", "--help"):
+        return None
+    if command not in COMMANDS:
+        choices = ", ".join(COMMANDS)
+        raise UsageError(f"unknown command {command!r}; choose from {choices}")
+    positionals: list[str] = []
+    builder, as_json = None, False
+    for arg in rest:
+        if arg == "--":
+            positionals.extend(rest)
+        elif arg in ("-h", "--help"):
+            return None
+        elif arg == "--json":
+            as_json = True
+        elif arg.startswith("--builder="):
+            builder = arg[len("--builder="):]
+        elif arg == "--builder":
+            builder = next(rest, None)
+            if builder is None or builder.startswith("-"):
+                raise UsageError("--builder needs a value NAME:ARG")
+        elif arg.startswith("-"):
+            raise UsageError(f"unknown option {arg}")
+        else:
+            positionals.append(arg)
+    target = None
+    if command == "dot":
+        from .dot import TARGETS
+
+        choices = ", ".join(TARGETS)
+        if not positionals:
+            raise UsageError(f"dot needs a TARGET: one of {choices}")
+        target = positionals.pop(0)
+        if target not in TARGETS:
+            raise UsageError(f"unknown dot target {target!r}; choose from {choices}")
+    if len(positionals) > 1:
+        second = positionals[1]
+        raise UsageError(f"a second source {second!r}; give one .osr file or --builder")
+    source = positionals[0] if positionals else None
+    return Args(command, target, source, builder, as_json)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return COMMANDS[args.command](args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{USAGE}osr: error: {exc}\n")
+        return EXIT_INPUT_ERROR
+    if args is None:
+        sys.stdout.write(_help_text())
+        return EXIT_OK
+    try:
+        return COMMANDS[args.command][0](args)
     except AxiomViolation as exc:
         for axiom, witness in exc.violations:
             print(f"axiom violation: {axiom} at {witness}", file=sys.stderr)

@@ -164,6 +164,16 @@ def bits_label(mask: int) -> str:
     return "{" + ",".join(str(i) for i in bits(mask)) + "}"
 
 
+def refuse_repeated(labels: Sequence[str], where: str, noun: str) -> None:
+    """Raise LabelError when two of ``labels`` are the same string.
+
+    Element labels may hold ',', so two different subsets can print alike.
+    """
+    if len(set(labels)) < len(labels):
+        clash = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
+        raise LabelError(f"{where}: two {noun} are named {clash}")
+
+
 def subset_key(mask: int) -> tuple[int, int]:
     """Canonical sort key for carrier subsets: by size, then by bitmask."""
     return (mask.bit_count(), mask)

@@ -10,16 +10,14 @@ for prime ideals is containment.
 from __future__ import annotations
 
 from .analysis import Source, analysis
-from .core import cover_pairs, inclusion_order
+from .core import cover_pairs, inclusion_order, refuse_repeated
 from .errors import LabelError
 
 TARGETS = ("idl", "rad", "spec")
 
 
 def _digraph(kind: str, labels, covers) -> str:
-    if len(set(labels)) < len(labels):  # element labels may hold ','
-        clash = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
-        raise LabelError(f"dot {kind}: two nodes are named {clash}")
+    refuse_repeated(labels, f"dot {kind}", "nodes")
     # a label may hold '"', which a DOT string escapes; nothing else needs it
     names = ['"' + lab.replace('"', '\\"') + '"' for lab in labels]
     lines = [f"digraph {kind} {{", "  rankdir=BT;"]

@@ -10,7 +10,7 @@ import pytest
 
 import osr
 import osr.report
-from osr.cli import main
+from osr.cli import COMMANDS, main
 from osr.osrfile import render
 
 from .test_law_kernels import square_zero_description
@@ -203,9 +203,9 @@ def test_dot_escapes_quotes_in_labels(tmp_path, capsys):
         assert code == 0 and all(line.count('"') % 2 == 0 for line in lines)
 
 
-def test_dot_refuses_two_nodes_with_one_name(tmp_path, capsys):
+def commas_file(tmp_path):
     # with the elements a, b and "a,b", the ideals {0, a,b} and {0, a, b}
-    # both print as {0,a,b}: 9 ideals, 8 names, and DOT would merge two
+    # both print as {0,a,b}: 9 ideals, 8 names
     desc = square_zero_description(3)._replace(name="commas")
     names = dict(zip(desc.elements, ("0", "a", "b", "a,b", "1")))
     relabelled = desc._replace(
@@ -218,11 +218,31 @@ def test_dot_refuses_two_nodes_with_one_name(tmp_path, capsys):
     assert len(osr.enumerate_ideals(osr.validate(relabelled))) == 9
     f = tmp_path / "commas.osr"
     f.write_text(render(relabelled))
+    return f
+
+
+def test_dot_refuses_two_nodes_with_one_name(tmp_path, capsys):
+    # DOT would merge the two ideals named {0,a,b} into one node
+    f = commas_file(tmp_path)
     code, out, err = run(capsys, "dot", "idl", str(f))
     assert (code, out) == (2, "")
     assert err == "error: dot ideals: two nodes are named {0,a,b}\n"
     for target in ("rad", "spec"):  # no clash: one radical ideal, one prime
         assert run(capsys, "dot", target, str(f))[0] == 0
+
+
+def test_listing_refuses_two_ideals_with_one_name(tmp_path, capsys):
+    f = commas_file(tmp_path)
+    code, out, err = run(capsys, "ideals", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: ideals: two ideals are named {0,a,b}\n"
+    for kind in ("radicals", "primes"):  # one radical ideal, one prime
+        assert run(capsys, kind, str(f))[0] == 0
+    # JSON lists each ideal's member labels, which tell the two apart
+    code, out, _ = run(capsys, "ideals", str(f), "--json")
+    members = json.loads(out)["ideals"]
+    assert code == 0 and len(members) == 9
+    assert ["0", "a,b"] in members and ["0", "a", "b"] in members
 
 
 def test_failed_verdict_exits_1(capsys, monkeypatch):
@@ -241,12 +261,12 @@ def test_failed_verdict_exits_1(capsys, monkeypatch):
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # every CLI command is a fresh process that pays for these imports
+    # every CLI command is a fresh process that pays for these imports; the
+    # report is imported by check alone, and the grammar is read without
+    # argparse (and the gettext it imports)
     src = pathlib.Path(osr.report.__file__).parents[1]
-    code = (
-        "import sys, osr.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    unwanted = {"dataclasses", "inspect", "argparse", "gettext", "osr.report"}
+    code = f"import sys, osr.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -255,3 +275,54 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_builder_option_takes_its_value_either_way(capsys):
+    spaced = run(capsys, "ideals", "--builder", "zmod:4", "--json")
+    joined = run(capsys, "ideals", "--builder=zmod:4", "--json")
+    assert spaced == joined and spaced[0] == 0 and spaced[1]
+
+
+def test_options_may_come_before_the_positionals(capsys):
+    after = run(capsys, "dot", "rad", "--builder", "zmod:4")
+    before = run(capsys, "dot", "--builder", "zmod:4", "rad")
+    assert before == after and after[0] == 0 and after[1]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_command(capsys, flag):
+    for argv in ([flag], ["dot", flag]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: osr COMMAND")
+        assert all(f"  {name} " in out for name in COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nope", "--builder", "zmod:2"],
+        ["--json", "ideals", "--builder", "zmod:2"],  # an option before the command
+        ["dot", "--builder", "zmod:2"],
+        ["dot", "nope", "--builder=zmod:2"],
+        ["ideals", "--bui", "zmod:2"],  # no prefix abbreviations
+        ["ideals", "--json=1", "--builder", "zmod:2"],
+        ["ideals", "--builder"],
+        ["ideals", "--builder", "--json"],
+        ["ideals", "a.osr", "b.osr"],
+        ["dot", "rad", "a.osr", "b.osr"],
+    ],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_usage_errors_exit_2_with_the_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: osr COMMAND") and "\nosr: error: " in err
+
+
+def test_double_dash_ends_the_options(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-z4.osr").write_text(render(osr.build_zmod(4).describe()))
+    code, out, _ = run(capsys, "validate", "--", "-z4.osr")
+    assert code == 0 and "valid ordered semiring" in out
